@@ -21,15 +21,14 @@ from .detectors import iforest_scores, knn_dist_scores, lof_scores
 from .errors import ConfigError, DataError
 from .explosion import (
     ExplosionParams,
-    Particle,
     bomb_position,
+    centroids,
     constant_g,
     displacement,
     explode,
-    particles_of,
     shock_force,
 )
-from .knngraph import KnnGraph, build, kth_neighbor_distance
+from .knngraph import KnnGraph, build
 from .metrics import EvalResult, average_precision, evaluate_scores, roc_auc
 from .pipeline import (
     EvalReport,
@@ -39,13 +38,7 @@ from .pipeline import (
     run_osd,
     scaling_probe,
 )
-from .repulsion import (
-    InvalidNeighborSet,
-    find_invalid_neighbors,
-    repel,
-    repulsive_force,
-    resultant_force,
-)
+from .repulsion import find_invalid_neighbors, repel, repulsive_force
 from .synth import gen_clusters_outliers, gen_imbalance_series
 
 __version__ = "0.1.0"
@@ -59,15 +52,14 @@ __all__ = [
     "EvalResult",
     "ExplosionParams",
     "InflectionResult",
-    "InvalidNeighborSet",
     "KnnGraph",
     "Labels",
-    "Particle",
     "RunConfig",
     "WeightHistogram",
     "average_precision",
     "bomb_position",
     "build",
+    "centroids",
     "constant_g",
     "displacement",
     "divide",
@@ -80,15 +72,12 @@ __all__ = [
     "gen_imbalance_series",
     "iforest_scores",
     "knn_dist_scores",
-    "kth_neighbor_distance",
     "load_csv",
     "lof_scores",
     "min_max_normalize",
-    "particles_of",
     "prepare",
     "repel",
     "repulsive_force",
-    "resultant_force",
     "roc_auc",
     "run_osd",
     "scaling_probe",

@@ -59,21 +59,26 @@ class BlockPartition:
     """Partition of all objects into connected components of the pruned graph.
 
     Blocks are numbered by ascending smallest member index; assignment[i]
-    is the block id of object i and masses[b] == len(blocks[b]).
+    is the block id of object i and masses[b] is block b's object count.
     """
 
     assignment: np.ndarray
-    blocks: list[np.ndarray]
     masses: np.ndarray
     threshold: float
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return len(self.masses)
 
     @property
     def n_objects(self) -> int:
         return self.assignment.shape[0]
+
+    @property
+    def blocks(self) -> list[np.ndarray]:
+        """Each block's member indices, ascending, in block-id order."""
+        order = np.argsort(self.assignment, kind="stable")
+        return np.split(order, np.cumsum(self.masses)[:-1])
 
 
 def weight_histogram(g: KnnGraph) -> WeightHistogram:
@@ -138,50 +143,30 @@ def find_inflection(h: WeightHistogram, override: float | None = None) -> Inflec
     return InflectionResult(float(h.bin_edges[knee]), knee)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:  # path compression
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
 def divide(g: KnnGraph, threshold: float) -> BlockPartition:
     """Prune edges with weight strictly below threshold and split into blocks.
 
     Every connected component of the surviving undirected graph becomes one
     block; objects left with no edges become singleton blocks of mass 1.
     """
+    # Imported on first use: at module level these two added 20-40 ms to
+    # `import osd` (csgraph loads scipy.sparse.linalg), paid by every command.
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n = g.n_objects
-    uf = _UnionFind(n)
     kept = g.edges[g.edge_weights >= threshold]
-    for a, b in kept:
-        uf.union(int(a), int(b))
-
-    roots = np.fromiter((uf.find(i) for i in range(n)), dtype=np.int64, count=n)
-    # Number blocks by first appearance, i.e. by smallest member index.
-    _, first_pos, assignment = np.unique(roots, return_index=True, return_inverse=True)
-    order = np.argsort(np.argsort(first_pos))
-    assignment = order[assignment]
-
-    n_blocks = len(first_pos)
-    blocks = [np.flatnonzero(assignment == b) for b in range(n_blocks)]
-    masses = np.array([len(b) for b in blocks], dtype=np.int64)
+    adjacency = coo_matrix(
+        (np.ones(len(kept), dtype=np.int8), (kept[:, 0], kept[:, 1])), shape=(n, n)
+    )
+    n_blocks, labels = connected_components(adjacency, directed=False)
+    # Number blocks by first appearance, i.e. by smallest member index;
+    # scipy does not document its label order.
+    _, first = np.unique(labels, return_index=True)
+    relabel = np.empty(n_blocks, dtype=np.int64)
+    relabel[np.argsort(first)] = np.arange(n_blocks)
+    assignment = relabel[labels]
+    masses = np.bincount(assignment)
     assignment.setflags(write=False)
     masses.setflags(write=False)
-    return BlockPartition(assignment, blocks, masses, float(threshold))
+    return BlockPartition(assignment, masses, float(threshold))

@@ -53,13 +53,15 @@ def _add_transform_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-data", default=None, help="output CSV path")
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
+def _label_col(args: argparse.Namespace) -> str | int | None:
     label_col = args.label_col
     if isinstance(label_col, str) and label_col.isdigit():
-        label_col = int(label_col)
+        return int(label_col)
+    return label_col
+
+
+def _config_from(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
-        input_path=args.input,
-        label_col=label_col,
         k=args.k,
         T=args.T,
         threshold=args.threshold,
@@ -69,22 +71,20 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         ablation=args.ablation,
         detectors=tuple(getattr(args, "detector", None) or DETECTOR_NAMES),
         seed=args.seed,
-        out_report=args.out_report,
-        out_data=args.out_data,
     )
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    ds, labels = load_csv(args.input, config.label_col)
+    ds, labels = load_csv(args.input, _label_col(args))
     prepared = prepare(ds, config)
     result, partition, diag = run_osd(prepared, config)
-    if config.out_data:
-        write_points_csv(config.out_data, result, labels)
+    if args.out_data:
+        write_points_csv(args.out_data, result, labels)
     if args.dump_blocks:
         write_partition_csv(args.dump_blocks, partition)
-    if config.out_report:
-        with open(config.out_report, "w") as fh:
+    if args.out_report:
+        with open(args.out_report, "w") as fh:
             json.dump(diag, fh, indent=2, sort_keys=True)
     print(
         f"transformed {ds.count} objects: {diag['n_blocks']} blocks, "
@@ -95,16 +95,16 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    ds, labels = load_csv(args.input, config.label_col)
+    ds, labels = load_csv(args.input, _label_col(args))
     if labels is None:
         raise DataError("eval requires --label-col")
     prepared = prepare(ds, config)
     result, _, diag = run_osd(prepared, config)
     report = evaluate(prepared, result, labels, config, diag)
-    if config.out_data:
-        write_points_csv(config.out_data, result, labels)
-    if config.out_report:
-        with open(config.out_report, "w") as fh:
+    if args.out_data:
+        write_points_csv(args.out_data, result, labels)
+    if args.out_report:
+        with open(args.out_report, "w") as fh:
             fh.write(report.to_json())
     if args.out_metrics:
         write_tidy_metrics_csv(args.out_metrics, [(float(config.seed), report)])

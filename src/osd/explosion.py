@@ -1,29 +1,28 @@
 """One-shot outward relocation of object-blocks away from a virtual bomb.
 
-Each block is summarized by a particle (its centroid, weighing the block's
-object count).  A virtual bomb placed at the particles' mean exerts an
+Each block is summarized by a particle: its centroid, weighing the block's
+object count.  A virtual bomb placed at the particles' mean exerts an
 inverse-distance force on every particle; impulse-momentum bookkeeping with
 friction 0.5 collapses the ensuing motion into a single displacement
 F*F * T^2 / M^2 per block, applied rigidly to all of the block's objects.
-Small blocks therefore fly far while heavy blocks barely move.
+Small blocks therefore fly far while heavy blocks barely move.  Every
+function works on all blocks at once: positions are (B, d) arrays.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import BlockPartition
 from .dataset import Dataset
 from .errors import ConfigError
-from .knngraph import KnnGraph, build
+from .knngraph import KnnGraph
 
 __all__ = [
-    "Particle",
     "ExplosionParams",
-    "particles_of",
+    "centroids",
     "bomb_position",
     "constant_g",
     "shock_force",
@@ -36,15 +35,6 @@ DIRECTION_MODES = ("corrected", "literal")
 
 
 @dataclass(frozen=True)
-class Particle:
-    """A block's centroid with the block's object count as its mass."""
-
-    position: np.ndarray
-    mass: int
-    block_id: int
-
-
-@dataclass(frozen=True)
 class ExplosionParams:
     """Knobs for the explosion and repulsion passes.
 
@@ -52,16 +42,12 @@ class ExplosionParams:
     law treats signs: "corrected" (default) keeps each component's sign so
     blocks move away from the bomb; "literal" squares verbatim, discarding
     signs.  direction_mode plays the same role for the repulsion force
-    orientation.  epsilon guards the inverse-distance singularities and
-    defaults to 1e-12 times the dataset's bounding-box diagonal.
+    orientation.
     """
 
-    k: int
     T: float = 1.0
-    mu: float = 0.5
     sign_mode: str = "corrected"
     direction_mode: str = "corrected"
-    epsilon: float | None = None
 
     def __post_init__(self) -> None:
         if self.T <= 0:
@@ -71,24 +57,29 @@ class ExplosionParams:
         if self.direction_mode not in DIRECTION_MODES:
             raise ConfigError(f"direction_mode must be one of {DIRECTION_MODES}")
 
-    def resolve_epsilon(self, ds: Dataset) -> float:
-        if self.epsilon is not None:
-            return self.epsilon
-        return 1e-12 * ds.diameter()
+
+def _epsilon(ds: Dataset) -> float:
+    """Singularity guard for the inverse-distance forces: 1e-12 of the diameter."""
+    return 1e-12 * ds.diameter()
 
 
-def particles_of(ds: Dataset, partition: BlockPartition) -> list[Particle]:
-    """One particle per block: centroid position, object count as mass."""
-    pts = ds.points
-    return [
-        Particle(pts[members].mean(axis=0), int(partition.masses[b]), b)
-        for b, members in enumerate(partition.blocks)
-    ]
+def _inverse_distance(diff: np.ndarray, scale: float, eps: float) -> np.ndarray:
+    """scale * diff / ||diff||^2 along the last axis; zero where ||diff|| <= eps."""
+    r2 = np.sum(diff * diff, axis=-1, keepdims=True)
+    dead = (r2 <= eps * eps) | (r2 == 0.0)
+    return np.where(dead, 0.0, scale * diff / np.where(dead, 1.0, r2))
 
 
-def bomb_position(particles: list[Particle]) -> np.ndarray:
-    """Unweighted mean of particle positions (masses play no role here)."""
-    return np.mean([p.position for p in particles], axis=0)
+def centroids(ds: Dataset, partition: BlockPartition) -> np.ndarray:
+    """(B, d) block centroids, members summed in ascending index order."""
+    sums = np.zeros((partition.n_blocks, ds.dim))
+    np.add.at(sums, partition.assignment, ds.points)
+    return sums / partition.masses[:, None]
+
+
+def bomb_position(positions: np.ndarray) -> np.ndarray:
+    """Unweighted mean of (B, d) particle positions (masses play no role here)."""
+    return positions.mean(axis=0)
 
 
 def constant_g(ds: Dataset, g: KnnGraph) -> float:
@@ -97,27 +88,25 @@ def constant_g(ds: Dataset, g: KnnGraph) -> float:
 
 
 def shock_force(
-    particle: Particle, theta: np.ndarray, g_const: float, eps: float
+    positions: np.ndarray, theta: np.ndarray, g_const: float, eps: float
 ) -> np.ndarray:
-    """Inverse-distance force on a particle, directed away from the bomb.
+    """Inverse-distance force on each particle, directed away from the bomb.
 
     F = G * (B - theta) / ||B - theta||^2, zero within eps of the bomb.
+    positions is one (d,) particle or a (B, d) array of them.
     """
-    diff = particle.position - theta
-    r2 = float(np.sum(diff * diff))
-    if r2 <= eps * eps or r2 == 0.0:
-        return np.zeros_like(diff)
-    return g_const * diff / r2
+    return _inverse_distance(positions - theta, g_const, eps)
 
 
 def displacement(
-    f: np.ndarray, T: float, mass: int, sign_mode: str = "corrected"
+    f: np.ndarray, T: float, mass: int | np.ndarray, sign_mode: str = "corrected"
 ) -> np.ndarray:
     """Block displacement from a force: componentwise F*F * T^2 / M^2.
 
     "literal" squares each component verbatim (always nonnegative);
     "corrected" reapplies the component signs so motion points along F.
-    Both agree whenever F has no negative component.
+    Both agree whenever F has no negative component.  For (B, d) forces
+    pass mass as a (B, 1) column.
     """
     mag = f * f * (T * T) / (mass * mass)
     if sign_mode == "literal":
@@ -131,33 +120,19 @@ def explode(
     ds: Dataset,
     partition: BlockPartition,
     params: ExplosionParams,
-    g_const: float | None = None,
-    graph: KnnGraph | None = None,
+    g_const: float,
     theta: np.ndarray | None = None,
-) -> tuple[Dataset, list[Particle]]:
-    """Translate every block by its displacement; return (moved dataset, particles).
+) -> tuple[Dataset, np.ndarray]:
+    """Translate every block by its displacement.
 
-    g_const is normally precomputed by the caller (pipelines already hold
-    the k-NN graph); without it the graph is built here with params.k.
+    Returns the moved dataset and the (B, d) moved centroids.  g_const is
+    the force scale (run_osd passes constant_g, or 1 when that is 0);
     theta overrides the bomb position (used by the random-bomb ablation).
     Masses and within-block geometry are preserved exactly.
     """
-    if g_const is None:
-        g_const = constant_g(ds, graph if graph is not None else build(ds, params.k))
-    if g_const <= 0.0:
-        warnings.warn("degenerate scale: G = 0, substituting G = 1", stacklevel=2)
-        g_const = 1.0
-
-    particles = particles_of(ds, partition)
+    positions = centroids(ds, partition)
     if theta is None:
-        theta = bomb_position(particles)
-    eps = params.resolve_epsilon(ds)
-
-    new_pts = ds.points.copy()
-    moved: list[Particle] = []
-    for p in particles:
-        f = shock_force(p, theta, g_const, eps)
-        s = displacement(f, params.T, p.mass, params.sign_mode)
-        new_pts[partition.blocks[p.block_id]] += s
-        moved.append(replace(p, position=p.position + s))
-    return Dataset(new_pts), moved
+        theta = bomb_position(positions)
+    f = shock_force(positions, theta, g_const, _epsilon(ds))
+    s = displacement(f, params.T, partition.masses[:, None], params.sign_mode)
+    return Dataset(ds.points + s[partition.assignment]), positions + s

@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 from .dataset import Dataset
 from .errors import ConfigError
 
-__all__ = ["KnnGraph", "build", "kth_neighbor_distance"]
+__all__ = ["KnnGraph", "build"]
 
 # Relative slack for detecting ties that a fixed-size candidate query
 # cannot rule out; generous versus float64 rounding, tiny versus data.
@@ -107,9 +107,3 @@ def build(ds: Dataset, k: int) -> KnnGraph:
         arr.setflags(write=False)
     return KnnGraph(k, neighbor_idx, neighbor_dist, edges, weights)
 
-
-def kth_neighbor_distance(g: KnnGraph, i: int) -> float:
-    """Distance from object i to its k-th nearest neighbor."""
-    if not 0 <= i < g.n_objects:
-        raise IndexError(f"object index {i} out of range [0, {g.n_objects})")
-    return float(g.neighbor_dist[i, -1])

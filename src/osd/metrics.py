@@ -23,15 +23,11 @@ class EvalResult:
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks with tied values sharing their average rank."""
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    s = scores[order]
+    first = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    last = np.append(first[1:], len(s)) - 1
+    ranks = np.empty(len(s))
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
     return ranks
 
 

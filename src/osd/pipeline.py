@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import time
-import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
@@ -45,8 +44,6 @@ REPORT_SCHEMA_VERSION = 1
 class RunConfig:
     """Everything a run needs; seed covers every stochastic component."""
 
-    input_path: str | None = None
-    label_col: str | int | None = None
     k: int | None = None  # default resolves to min(10, N-1)
     T: float = 1.0
     threshold: float | None = None  # knee override
@@ -60,8 +57,6 @@ class RunConfig:
     iforest_subsample: int | None = None
     knn_score_k: int | None = None  # defaults to the transform's k
     seed: int = 0
-    out_report: str | None = None
-    out_data: str | None = None
 
     def __post_init__(self) -> None:
         if self.ablation not in ABLATIONS:
@@ -150,16 +145,13 @@ def run_osd(
         g_const = 1.0
     diag["g_const"] = g_const
     params = ExplosionParams(
-        k=k, T=config.T, sign_mode=config.sign_mode,
-        direction_mode=config.direction_mode,
+        T=config.T, sign_mode=config.sign_mode, direction_mode=config.direction_mode
     )
     theta = None
     if config.ablation == "random-bomb":
         rng = np.random.default_rng(config.seed)
         theta = rng.uniform(ds.points.min(axis=0), ds.points.max(axis=0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # G guard already applied above
-        exploded, _ = explode(ds, partition, params, g_const=g_const, theta=theta)
+    exploded, _ = explode(ds, partition, params, g_const, theta=theta)
     diag["timings"]["explosion"] = clock() - t0
 
     t0 = clock()
@@ -167,7 +159,7 @@ def run_osd(
         result = exploded
         diag["n_invalid_pairs"] = 0
     else:
-        invalid = find_invalid_neighbors(graph, exploded, partition, k)
+        invalid = find_invalid_neighbors(graph, exploded, partition)
         diag["n_invalid_pairs"] = len(invalid)
         result = repel(exploded, partition, invalid, params)
     diag["timings"]["repulsion"] = clock() - t0

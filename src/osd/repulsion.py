@@ -10,67 +10,40 @@ force; the per-block resultant drives one further rigid translation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .blocks import BlockPartition
 from .dataset import Dataset
 from .errors import ConfigError
-from .explosion import DIRECTION_MODES, ExplosionParams, displacement
+from .explosion import (
+    DIRECTION_MODES,
+    ExplosionParams,
+    _epsilon,
+    _inverse_distance,
+    displacement,
+)
 from .knngraph import KnnGraph, build
 
-__all__ = [
-    "InvalidNeighborSet",
-    "find_invalid_neighbors",
-    "repulsive_force",
-    "resultant_force",
-    "repel",
-]
-
-
-@dataclass(frozen=True)
-class InvalidNeighborSet:
-    """Cross-block pairs (g, p) where p newly entered g's k-NN set."""
-
-    pairs: frozenset[tuple[int, int]]
-    per_object: dict[int, tuple[int, ...]]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
+__all__ = ["find_invalid_neighbors", "repulsive_force", "repel"]
 
 
 def find_invalid_neighbors(
-    original: KnnGraph,
-    exploded_ds: Dataset,
-    partition: BlockPartition,
-    k: int,
-) -> InvalidNeighborSet:
+    original: KnnGraph, exploded_ds: Dataset, partition: BlockPartition
+) -> np.ndarray:
     """Detect invalid neighbors created by the explosion.
 
     (g, p) qualifies iff p is not a k-NN of g in the original graph, p is a
     k-NN of g in the exploded dataset (same k, same tie rule), and g and p
-    live in different blocks.
+    live in different blocks.  Returns the pairs as a (P, 2) int array
+    sorted by (g, p).
     """
-    if k != original.k:
-        raise ConfigError(f"k mismatch: original graph has k={original.k}, got {k}")
-    moved = build(exploded_ds, k)
-    assignment = partition.assignment
-
-    pairs: set[tuple[int, int]] = set()
-    per_object: dict[int, tuple[int, ...]] = {}
-    for g_idx in range(moved.n_objects):
-        before = set(original.neighbor_idx[g_idx].tolist())
-        fresh = [
-            int(p)
-            for p in moved.neighbor_idx[g_idx]
-            if p not in before and assignment[p] != assignment[g_idx]
-        ]
-        if fresh:
-            fresh.sort()
-            per_object[g_idx] = tuple(fresh)
-            pairs.update((g_idx, p) for p in fresh)
-    return InvalidNeighborSet(frozenset(pairs), per_object)
+    new = build(exploded_ds, original.k).neighbor_idx
+    a = partition.assignment
+    known = (new[:, :, None] == original.neighbor_idx[:, None, :]).any(axis=2)
+    g_idx, col = np.nonzero(~known & (a[new] != a[:, None]))
+    p_idx = new[g_idx, col]
+    order = np.lexsort((p_idx, g_idx))
+    return np.column_stack([g_idx[order], p_idx[order]])
 
 
 def repulsive_force(
@@ -79,60 +52,42 @@ def repulsive_force(
     direction_mode: str = "corrected",
     eps: float = 0.0,
 ) -> np.ndarray:
-    """Inverse-distance force between an object and one invalid neighbor.
+    """Inverse-distance force between objects and their invalid neighbors.
 
     "literal" orients it from g toward p; "corrected" (default) negates
     that, pushing g's block away from the intruder.  Magnitude is
-    1/distance either way; coincident positions give zero force.
+    1/distance either way; coincident positions give zero force.  Takes
+    one (d,) pair or (P, d) arrays of pairs.
     """
     if direction_mode not in DIRECTION_MODES:
         raise ConfigError(f"direction_mode must be one of {DIRECTION_MODES}")
-    diff = p_pos - g_pos
-    r2 = float(np.sum(diff * diff))
-    if r2 <= eps * eps or r2 == 0.0:
-        return np.zeros_like(diff)
-    f = diff / r2
-    return f if direction_mode == "literal" else -f
-
-
-def resultant_force(
-    block_id: int,
-    inv: InvalidNeighborSet,
-    exploded_ds: Dataset,
-    partition: BlockPartition,
-    direction_mode: str = "corrected",
-    eps: float = 0.0,
-) -> np.ndarray:
-    """Sum of repulsive forces over a block's members and their intruders."""
-    pts = exploded_ds.points
-    total = np.zeros(exploded_ds.dim)
-    for g_idx in partition.blocks[block_id]:
-        for p_idx in inv.per_object.get(int(g_idx), ()):
-            total += repulsive_force(pts[g_idx], pts[p_idx], direction_mode, eps)
-    return total
+    scale = 1.0 if direction_mode == "literal" else -1.0
+    return _inverse_distance(p_pos - g_pos, scale, eps)
 
 
 def repel(
     exploded_ds: Dataset,
     partition: BlockPartition,
-    inv: InvalidNeighborSet,
+    pairs: np.ndarray,
     params: ExplosionParams,
 ) -> Dataset:
-    """Apply one repulsive translation per block; identity if inv is empty.
+    """Apply one repulsive translation per block; identity if pairs is empty.
 
-    Translation is the squared resultant force over squared mass, with the
-    same sign convention as the explosion displacement and no T factor.
+    Each block's resultant is the sum of the forces on its members, taken
+    in (g, p) order.  Translation is the squared resultant over squared
+    mass, with the same sign convention as the explosion displacement and
+    no T factor.  Blocks with a zero resultant do not move.
     """
-    if not inv.pairs:
-        return exploded_ds
-    eps = params.resolve_epsilon(exploded_ds)
-    new_pts = exploded_ds.points.copy()
-    for block_id, members in enumerate(partition.blocks):
-        f = resultant_force(
-            block_id, inv, exploded_ds, partition, params.direction_mode, eps
-        )
-        if not np.any(f):
-            continue
-        mass = int(partition.masses[block_id])
-        new_pts[members] += displacement(f, 1.0, mass, params.sign_mode)
+    pts = exploded_ds.points
+    a = partition.assignment
+    g_idx, p_idx = pairs[:, 0], pairs[:, 1]
+    f = repulsive_force(
+        pts[g_idx], pts[p_idx], params.direction_mode, _epsilon(exploded_ds)
+    )
+    total = np.zeros((partition.n_blocks, exploded_ds.dim))
+    np.add.at(total, a[g_idx], f)
+    shift = displacement(total, 1.0, partition.masses[:, None], params.sign_mode)
+    rows = total.any(axis=1)[a]
+    new_pts = pts.copy()
+    new_pts[rows] += shift[a[rows]]
     return Dataset(new_pts)

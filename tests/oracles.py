@@ -66,6 +66,21 @@ def auc_pairs_oracle(scores: np.ndarray, flags: np.ndarray) -> float:
     return total / (len(pos) * len(neg))
 
 
+def average_ranks_oracle(scores: np.ndarray) -> np.ndarray:
+    """1-based average ranks by walking each run of equal sorted values."""
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
 def ap_oracle(scores: np.ndarray, flags: np.ndarray) -> float:
     """Average precision straight from the definition.
 

@@ -6,12 +6,11 @@ from osd.dataset import Dataset
 from osd.errors import ConfigError
 from osd.explosion import (
     ExplosionParams,
-    Particle,
     bomb_position,
+    centroids,
     constant_g,
     displacement,
     explode,
-    particles_of,
     shock_force,
 )
 from osd.knngraph import build
@@ -28,17 +27,17 @@ def _singleton_partition(g):
 def test_particle_of_two_point_block():
     ds = Dataset(np.array([[1.0, 2.0], [1.0, 3.0]]))
     part = divide(build(ds, 1), -np.inf)
-    (p,) = particles_of(ds, part)
-    np.testing.assert_array_equal(p.position, [1.0, 2.5])
-    assert p.mass == 2
+    (position,) = centroids(ds, part)
+    np.testing.assert_array_equal(position, [1.0, 2.5])
+    assert part.masses[0] == 2
 
 
 def test_particle_of_singleton_is_the_object():
     ds = Dataset(np.array([[3.0, 4.0], [100.0, 100.0]]))
     part = divide(build(ds, 1), 0.5)  # prunes everything
-    parts = particles_of(ds, part)
-    np.testing.assert_array_equal(parts[0].position, [3.0, 4.0])
-    assert parts[0].mass == 1
+    positions = centroids(ds, part)
+    np.testing.assert_array_equal(positions[0], [3.0, 4.0])
+    assert part.masses[0] == 1
 
 
 def test_particle_centroid_matches_mean_oracle():
@@ -50,54 +49,48 @@ def test_particle_centroid_matches_mean_oracle():
     total = np.zeros(3)
     for row in pts:
         total += row
-    np.testing.assert_allclose(particles_of(ds, part)[0].position, total / 7,
+    np.testing.assert_allclose(centroids(ds, part)[0], total / 7,
                                rtol=1e-9)
 
 
+def test_centroids_equal_member_means_exactly():
+    rng = np.random.default_rng(7)
+    ds = Dataset(rng.normal(size=(80, 3)))
+    g = build(ds, 4)
+    part = divide(g, np.quantile(g.edge_weights, 0.2))
+    positions = centroids(ds, part)
+    for b, members in enumerate(part.blocks):
+        np.testing.assert_array_equal(positions[b], ds.points[members].mean(axis=0))
+
+
 def test_bomb_at_particle_mean():
-    parts = [
-        Particle(np.array([1.0, 1.0]), 1, 0),
-        Particle(np.array([3.0, 0.5]), 1, 1),
-        Particle(np.array([4.0, 2.0]), 1, 2),
-    ]
+    parts = np.array([[1.0, 1.0], [3.0, 0.5], [4.0, 2.0]])
     theta = bomb_position(parts)
     np.testing.assert_allclose(theta, [2.67, 1.17], atol=0.005)
 
 
 def test_bomb_single_particle():
-    p = Particle(np.array([2.0, -1.0]), 5, 0)
-    np.testing.assert_array_equal(bomb_position([p]), [2.0, -1.0])
+    np.testing.assert_array_equal(bomb_position(np.array([[2.0, -1.0]])), [2.0, -1.0])
 
 
 def test_bomb_symmetric_configuration():
-    parts = [
-        Particle(np.array([1.0, 0.0]), 3, 0),
-        Particle(np.array([-1.0, 0.0]), 1, 1),
-        Particle(np.array([0.0, 1.0]), 2, 2),
-        Particle(np.array([0.0, -1.0]), 9, 3),
-    ]
+    parts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     np.testing.assert_allclose(bomb_position(parts), [0.0, 0.0], atol=1e-15)
 
 
 def test_bomb_ignores_mass():
-    heavy = [Particle(np.array([0.0]), 1000, 0), Particle(np.array([1.0]), 1, 1)]
-    np.testing.assert_array_equal(bomb_position(heavy), [0.5])
+    # a mass-1000 block at 0 and a mass-1 block at 1: positions only
+    np.testing.assert_array_equal(bomb_position(np.array([[0.0], [1.0]])), [0.5])
 
 
 def test_shock_force_golden_two_block_geometry():
-    theta = bomb_position(
-        [
-            Particle(np.array([1.0, 1.0]), 1, 0),
-            Particle(np.array([3.0, 0.5]), 1, 1),
-            Particle(np.array([4.0, 2.0]), 1, 2),
-        ]
-    )
-    f = shock_force(Particle(np.array([1.0, 1.0]), 1, 0), theta, 5.0, 1e-12)
+    theta = bomb_position(np.array([[1.0, 1.0], [3.0, 0.5], [4.0, 2.0]]))
+    f = shock_force(np.array([1.0, 1.0]), theta, 5.0, 1e-12)
     np.testing.assert_allclose(f, [-2.97, -0.30], atol=0.01)
 
 
 def test_shock_force_zero_at_bomb():
-    p = Particle(np.array([1.0, 1.0]), 1, 0)
+    p = np.array([1.0, 1.0])
     np.testing.assert_array_equal(
         shock_force(p, np.array([1.0, 1.0]), 5.0, 1e-9), [0.0, 0.0]
     )
@@ -109,7 +102,7 @@ def test_shock_force_magnitude_and_direction():
         pos = rng.normal(size=3)
         theta = rng.normal(size=3)
         g_const = float(rng.uniform(0.1, 5.0))
-        f = shock_force(Particle(pos, 1, 0), theta, g_const, 1e-15)
+        f = shock_force(pos, theta, g_const, 1e-15)
         r = np.linalg.norm(pos - theta)
         assert np.linalg.norm(f) == pytest.approx(g_const / r, rel=1e-12)
         cos = np.dot(f, pos - theta) / (np.linalg.norm(f) * r)
@@ -167,9 +160,9 @@ def test_displacement_inverse_mass_square():
 
 def test_params_validation():
     with pytest.raises(ConfigError):
-        ExplosionParams(k=3, T=0.0)
+        ExplosionParams(T=0.0)
     with pytest.raises(ConfigError):
-        ExplosionParams(k=3, sign_mode="bogus")
+        ExplosionParams(sign_mode="bogus")
     with pytest.raises(ConfigError):
         displacement(np.ones(2), 1.0, 1, "bogus")
 
@@ -191,9 +184,9 @@ def test_explode_single_block_is_fixed_point():
     g = build(ds, 3)
     part = divide(g, -np.inf)
     assert part.n_blocks == 1
-    moved, particles = explode(ds, part, ExplosionParams(k=3), graph=g)
+    moved, _ = explode(ds, part, ExplosionParams(), g_const=constant_g(ds, g))
     np.testing.assert_array_equal(moved.points, ds.points)
-    assert particles[0].mass == 12
+    assert part.masses[0] == 12
 
 
 def test_explode_two_blocks_match_scalar_oracle():
@@ -203,7 +196,7 @@ def test_explode_two_blocks_match_scalar_oracle():
     assert part.n_blocks == 2
     g_const = constant_g(ds, g)  # mean 1st-neighbor distance = 1.0
     assert g_const == 1.0
-    moved, _ = explode(ds, part, ExplosionParams(k=1), g_const=g_const)
+    moved, _ = explode(ds, part, ExplosionParams(), g_const=g_const)
     # theta = (5.5, 0); forces G/r toward each side; s = (G/r)^2 / M^2
     theta = np.array([5.5, 0.0])
     for block, members in ((0, [0, 1]), (1, [2, 3])):
@@ -222,7 +215,8 @@ def test_explode_rigid_translation_and_mass_conservation():
     ds, _ = gen_clusters_outliers(2, 40, 4, 2, 25.0, 11)
     g = build(ds, 5)
     part = divide(g, find_inflection(weight_histogram(g)).threshold)
-    moved, particles = explode(ds, part, ExplosionParams(k=5), graph=g)
+    params = ExplosionParams()
+    moved, moved_centroids = explode(ds, part, params, g_const=constant_g(ds, g))
     for b, members in enumerate(part.blocks):
         before = ds.points[members]
         after = moved.points[members]
@@ -230,8 +224,8 @@ def test_explode_rigid_translation_and_mass_conservation():
             d_before = np.linalg.norm(before[0] - before[-1])
             d_after = np.linalg.norm(after[0] - after[-1])
             assert d_after == pytest.approx(d_before, rel=1e-9)
-        assert particles[b].mass == part.masses[b]
-        np.testing.assert_allclose(particles[b].position, after.mean(axis=0),
+        assert len(members) == part.masses[b]
+        np.testing.assert_allclose(moved_centroids[b], after.mean(axis=0),
                                    atol=1e-9)
 
 
@@ -240,17 +234,8 @@ def test_explode_random_bomb_override():
     g = build(ds, 1)
     part = divide(g, -5.0)
     theta = np.array([100.0, 0.0])
-    moved, _ = explode(ds, part, ExplosionParams(k=1), g_const=1.0, theta=theta)
+    moved, _ = explode(ds, part, ExplosionParams(), g_const=1.0, theta=theta)
     assert np.all(moved.points[:, 0] < ds.points[:, 0])  # all pushed away
-
-
-def test_explode_degenerate_scale_warns_and_substitutes():
-    ds = Dataset(np.zeros((6, 2)))
-    g = build(ds, 2)
-    part = divide(g, 1.0)  # singletons, coincident particles
-    with pytest.warns(UserWarning, match="G = 0"):
-        moved, _ = explode(ds, part, ExplosionParams(k=2), graph=g)
-    np.testing.assert_array_equal(moved.points, ds.points)  # eps guard holds
 
 
 def test_centroid_minimizes_sum_of_squares():
@@ -259,8 +244,7 @@ def test_centroid_minimizes_sum_of_squares():
         c = rng.integers(2, 51)
         d = rng.integers(1, 11)
         positions = rng.normal(size=(c, d)) * rng.uniform(0.5, 3.0)
-        parts = [Particle(positions[i], 1, i) for i in range(c)]
-        theta = bomb_position(parts)
+        theta = bomb_position(positions)
         base = np.sum((positions - theta) ** 2)
         for _ in range(5):
             perturbed = theta + rng.normal(size=d) * rng.uniform(1e-4, 1.0)
@@ -277,8 +261,8 @@ def test_light_block_ends_farther_than_heavy_block():
     g = build(ds, 2)
     part = divide(g, -1.0)
     assert sorted(part.masses.tolist()) == [1, 20]
-    moved, parts_after = explode(ds, part, ExplosionParams(k=2), graph=g)
-    theta = bomb_position(particles_of(ds, part))
+    moved, _ = explode(ds, part, ExplosionParams(), g_const=constant_g(ds, g))
+    theta = bomb_position(centroids(ds, part))
     d_light = np.linalg.norm(moved.points[20] - theta)
     d_heavy = np.linalg.norm(
         moved.points[:20].mean(axis=0) - theta
@@ -297,6 +281,6 @@ def test_nearby_small_blocks_separate():
     part = divide(g, -0.9)
     assert part.n_blocks == 3
     before = np.linalg.norm(ds.points[0] - ds.points[1])
-    moved, _ = explode(ds, part, ExplosionParams(k=1), g_const=2.0)
+    moved, _ = explode(ds, part, ExplosionParams(), g_const=2.0)
     after = np.linalg.norm(moved.points[0] - moved.points[1])
     assert after > before

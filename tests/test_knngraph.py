@@ -3,7 +3,7 @@ import pytest
 
 from osd.dataset import Dataset
 from osd.errors import ConfigError
-from osd.knngraph import build, kth_neighbor_distance
+from osd.knngraph import build
 
 from oracles import knn_oracle
 
@@ -17,7 +17,7 @@ def test_collinear_neighbors_of_first_point():
 
 def test_collinear_kth_distance():
     g = build(COLLINEAR, 2)
-    assert kth_neighbor_distance(g, 0) == 2.0
+    assert g.neighbor_dist[0, -1] == 2.0
 
 
 def test_collinear_tie_on_second_point_resolved_by_index():
@@ -49,7 +49,7 @@ def test_kth_distance_matches_brute_force():
     g = build(ds, 6)
     _, dist = knn_oracle(ds.points, 6)
     for i in range(ds.count):
-        assert kth_neighbor_distance(g, i) == dist[i, -1]
+        assert g.neighbor_dist[i, -1] == dist[i, -1]
 
 
 def test_coincident_points_zero_distance_and_index_ties():
@@ -68,7 +68,7 @@ def test_duplicate_pair_among_distinct_points():
     g = build(ds, 1)
     assert g.neighbor_idx[0].tolist() == [1]
     assert g.neighbor_idx[1].tolist() == [0]
-    assert kth_neighbor_distance(g, 1) == 0.0
+    assert g.neighbor_dist[1, -1] == 0.0
 
 
 def test_edge_set_is_undirected_union():
@@ -117,8 +117,3 @@ def test_k_out_of_range():
     with pytest.raises(ConfigError):
         build(COLLINEAR, 4)
 
-
-def test_invalid_index_query():
-    g = build(COLLINEAR, 2)
-    with pytest.raises(IndexError):
-        kth_neighbor_distance(g, 4)

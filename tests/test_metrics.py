@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from osd.dataset import Labels
 from osd.errors import DataError
-from osd.metrics import average_precision, evaluate_scores, roc_auc
+from osd.metrics import _average_ranks, average_precision, evaluate_scores, roc_auc
 
-from oracles import ap_oracle, auc_pairs_oracle
+from oracles import ap_oracle, auc_pairs_oracle, average_ranks_oracle
 
 
 def test_auc_perfect_ranking():
@@ -33,6 +33,15 @@ def test_auc_matches_pair_oracle_on_random_instances():
         assert roc_auc(scores, labels) == pytest.approx(
             auc_pairs_oracle(scores, flags), abs=1e-12
         )
+
+
+def test_average_ranks_equal_loop_oracle():
+    rng = np.random.default_rng(8)
+    for i in range(300):
+        n = int(rng.integers(0, 40))
+        ties = rng.integers(0, 5, size=n).astype(float)
+        scores = ties if i % 2 else rng.normal(size=n)
+        np.testing.assert_array_equal(_average_ranks(scores), average_ranks_oracle(scores))
 
 
 def test_auc_rejects_single_class():

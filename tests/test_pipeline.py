@@ -94,6 +94,14 @@ def test_transform_never_sees_labels():
     run_osd(prepare(ds, config), config)  # callable with no labels at all
 
 
+def test_degenerate_scale_warns_and_substitutes():
+    ds = Dataset(np.zeros((6, 2)))
+    config = RunConfig(k=2, threshold=1.0, normalize=False)  # singletons
+    out, _, diag = run_osd(ds, config)
+    assert any("G = 0" in w for w in diag["warnings"])
+    np.testing.assert_array_equal(out.points, ds.points)  # eps guard holds
+
+
 def test_no_division_ablation_gives_singletons():
     ds, _ = ring_dataset(2)
     config = RunConfig(k=5, ablation="no-division")

@@ -3,16 +3,9 @@ import pytest
 
 from osd.blocks import divide
 from osd.dataset import Dataset
-from osd.errors import ConfigError
-from osd.explosion import ExplosionParams, constant_g, explode
+from osd.explosion import ExplosionParams, constant_g, displacement, explode
 from osd.knngraph import build
-from osd.repulsion import (
-    InvalidNeighborSet,
-    find_invalid_neighbors,
-    repel,
-    repulsive_force,
-    resultant_force,
-)
+from osd.repulsion import find_invalid_neighbors, repel, repulsive_force
 
 from oracles import knn_oracle
 
@@ -42,16 +35,15 @@ def test_scenario_setup_is_as_described():
 
 def test_catch_up_creates_exactly_one_invalid_pair():
     _, g, part = _scenario()
-    inv = find_invalid_neighbors(g, Dataset(SCENARIO_MOVED), part, 2)
-    assert inv.pairs == {(0, 3)}
-    assert inv.per_object == {0: (3,)}
+    inv = find_invalid_neighbors(g, Dataset(SCENARIO_MOVED), part)
+    assert set(map(tuple, inv.tolist())) == {(0, 3)}
 
 
 def test_no_op_explosion_has_no_invalid_neighbors():
     rng = np.random.default_rng(0)
     ds = Dataset(rng.normal(size=(15, 2)))
     g = build(ds, 3)
-    inv = find_invalid_neighbors(g, ds, divide(g, -np.inf), 3)
+    inv = find_invalid_neighbors(g, ds, divide(g, -np.inf))
     assert len(inv) == 0
 
 
@@ -68,7 +60,7 @@ def test_invalid_neighbors_match_definition_oracle():
         shifted[members] += after[members].mean(axis=0) - before[members].mean(axis=0)
     moved = Dataset(shifted)
 
-    inv = find_invalid_neighbors(g, moved, part, 4)
+    inv = find_invalid_neighbors(g, moved, part)
 
     old_idx, _ = knn_oracle(before, 4)
     new_idx, _ = knn_oracle(shifted, 4)
@@ -78,7 +70,7 @@ def test_invalid_neighbors_match_definition_oracle():
         for p in new_idx[i]:
             if int(p) not in old and part.assignment[p] != part.assignment[i]:
                 expected.add((i, int(p)))
-    assert inv.pairs == expected
+    assert set(map(tuple, inv.tolist())) == expected
 
 
 def test_invalid_neighbors_never_same_block():
@@ -88,16 +80,10 @@ def test_invalid_neighbors_never_same_block():
     ds, _ = gen_clusters_outliers(2, 30, 5, 2, 25.0, 9)
     g = build(ds, 4)
     part = divide(g, np.quantile(g.edge_weights, 0.2))
-    moved, _ = explode(ds, part, ExplosionParams(k=4), graph=g)
-    inv = find_invalid_neighbors(g, moved, part, 4)
-    for g_idx, p_idx in inv.pairs:
+    moved, _ = explode(ds, part, ExplosionParams(), g_const=constant_g(ds, g))
+    inv = find_invalid_neighbors(g, moved, part)
+    for g_idx, p_idx in inv:
         assert part.assignment[g_idx] != part.assignment[p_idx]
-
-
-def test_k_mismatch_rejected():
-    ds, g, part = _scenario()
-    with pytest.raises(ConfigError, match="k mismatch"):
-        find_invalid_neighbors(g, ds, part, 3)
 
 
 def test_repulsive_force_directions():
@@ -126,13 +112,14 @@ def test_repulsive_force_coincident_guard():
 def test_resultant_force_empty_and_singleton():
     ds, g, part = _scenario()
     moved = Dataset(SCENARIO_MOVED)
-    inv = find_invalid_neighbors(g, moved, part, 2)
-    trio_force = resultant_force(1, inv, moved, part, "corrected")
-    np.testing.assert_array_equal(trio_force, [0.0, 0.0])
-    single_force = resultant_force(0, inv, moved, part, "corrected")
+    inv = find_invalid_neighbors(g, moved, part)
+    out = repel(moved, part, inv, ExplosionParams())
+    # the trio (block 1) has a zero resultant and stays put
+    np.testing.assert_array_equal(out.points[1:], SCENARIO_MOVED[1:])
+    single_force = repulsive_force(SCENARIO_MOVED[0], SCENARIO_MOVED[3], "corrected")
     np.testing.assert_allclose(
-        single_force,
-        repulsive_force(SCENARIO_MOVED[0], SCENARIO_MOVED[3], "corrected"),
+        out.points[0],
+        SCENARIO_MOVED[0] + displacement(single_force, 1.0, 1),
         rtol=1e-15,
     )
 
@@ -141,21 +128,22 @@ def test_resultant_force_sums_pairs():
     pts = np.array([[0.0, 0], [1, 0], [0, 1], [5, 5]])
     ds = Dataset(pts)
     part = divide(build(ds, 1), 1.0)  # all singletons
-    inv = InvalidNeighborSet(
-        frozenset({(0, 1), (0, 2), (0, 3)}), {0: (1, 2, 3)}
-    )
-    total = resultant_force(part.assignment[0], inv, ds, part, "literal")
+    inv = np.array([[0, 1], [0, 2], [0, 3]])
+    out = repel(ds, part, inv, ExplosionParams(direction_mode="literal"))
     expected = np.zeros(2)
     for p in (1, 2, 3):
         diff = pts[p] - pts[0]
         expected += diff / np.dot(diff, diff)
-    np.testing.assert_allclose(total, expected, rtol=1e-15)
+    np.testing.assert_allclose(
+        out.points[0], pts[0] + displacement(expected, 1.0, 1), rtol=1e-15
+    )
+    np.testing.assert_array_equal(out.points[1:], pts[1:])
 
 
 def test_repel_identity_without_invalid_neighbors():
     ds, g, part = _scenario()
-    empty = InvalidNeighborSet(frozenset(), {})
-    out = repel(ds, part, empty, ExplosionParams(k=2))
+    empty = np.empty((0, 2), dtype=np.int64)
+    out = repel(ds, part, empty, ExplosionParams())
     np.testing.assert_array_equal(out.points, ds.points)
 
 
@@ -166,11 +154,11 @@ def test_repel_applies_signed_squared_force():
     ds = Dataset(pts)
     part = divide(build(ds, 1), -0.9)
     assert part.n_blocks == 2
-    inv = InvalidNeighborSet(frozenset({(0, 2)}), {0: (2,)})
+    inv = np.array([[0, 2]])
     # force on block {0, 1}: (g - p)/|g - p|^2 = (-0.1, 0) corrected,
     # (0.1, 0) literal; translation = sign * force^2 / mass^2 with mass 2
     for mode, expect in (("corrected", -0.0025), ("literal", 0.0025)):
-        params = ExplosionParams(k=1, sign_mode=mode, direction_mode=mode)
+        params = ExplosionParams(sign_mode=mode, direction_mode=mode)
         out = repel(ds, part, inv, params)
         np.testing.assert_allclose(out.points[0], [0.0 + expect, 0.0], atol=1e-15)
         np.testing.assert_allclose(out.points[1], [0.5 + expect, 0.0], atol=1e-15)
@@ -188,9 +176,9 @@ def test_full_catch_up_run_separates_blocks():
     g = build(ds, 2)
     part = divide(g, -1.3)
     assert sorted(part.masses.tolist()) == [1, 3, 20]
-    params = ExplosionParams(k=2)
+    params = ExplosionParams()
     exploded, _ = explode(ds, part, params, g_const=constant_g(ds, g))
-    inv = find_invalid_neighbors(g, exploded, part, 2)
+    inv = find_invalid_neighbors(g, exploded, part)
     assert len(inv) > 0
     repelled = repel(exploded, part, inv, params)
     b_single = part.assignment[20]
@@ -218,9 +206,9 @@ def test_repulsion_never_shrinks_outlier_normal_distance():
         ds = min_max_normalize(ds)
         g = build(ds, 6)
         part = divide(g, find_inflection(weight_histogram(g)).threshold)
-        params = ExplosionParams(k=6)
+        params = ExplosionParams()
         exploded, _ = explode(ds, part, params, g_const=constant_g(ds, g))
-        inv = find_invalid_neighbors(g, exploded, part, 6)
+        inv = find_invalid_neighbors(g, exploded, part)
         repelled = repel(exploded, part, inv, params)
         acted += int(len(inv) > 0)
         o = labels.flags == 1
@@ -238,9 +226,9 @@ def test_repel_rigid_per_block():
     ds, _ = gen_clusters_outliers(2, 40, 6, 2, 20.0, 3)
     g = build(ds, 5)
     part = divide(g, np.quantile(g.edge_weights, 0.15))
-    params = ExplosionParams(k=5)
-    exploded, _ = explode(ds, part, params, graph=g)
-    inv = find_invalid_neighbors(g, exploded, part, 5)
+    params = ExplosionParams()
+    exploded, _ = explode(ds, part, params, g_const=constant_g(ds, g))
+    inv = find_invalid_neighbors(g, exploded, part)
     repelled = repel(exploded, part, inv, params)
     for members in part.blocks:
         if len(members) < 2:
