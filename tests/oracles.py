@@ -124,3 +124,19 @@ def histogram_recount(weights: np.ndarray, bin_edges: np.ndarray) -> np.ndarray:
                 counts[g] += 1
                 break
     return counts
+
+
+def knn_rows_oracle(
+    pts: np.ndarray, rows: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """knn_oracle for selected rows only, one all-pairs numpy ranking per row."""
+    others = np.arange(len(pts))
+    idx = np.empty((len(rows), k), dtype=np.int64)
+    dist = np.empty((len(rows), k))
+    for r, i in enumerate(rows):
+        diff = pts - pts[i]
+        d = np.sqrt(np.sum(diff * diff, axis=-1))
+        order = np.lexsort((others, d))
+        order = order[order != i][:k]
+        idx[r], dist[r] = others[order], d[order]
+    return idx, dist

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from osd.dataset import Dataset
 from osd.errors import ConfigError
 from osd.knngraph import build
 
-from oracles import knn_oracle
+from oracles import knn_oracle, knn_rows_oracle
+
+GRAPH_ARRAYS = ("neighbor_idx", "neighbor_dist", "edges", "edge_weights")
 
 COLLINEAR = Dataset(np.array([[1.0, 0, 0], [2, 0, 0], [3, 0, 0], [4, 0, 0]]))
 
@@ -106,7 +110,7 @@ def test_deterministic_rebuild():
     rng = np.random.default_rng(7)
     ds = Dataset(rng.normal(size=(60, 4)))
     g1 = build(ds, 5)
-    g2 = build(ds, 5)
+    g2 = build(Dataset(ds.points), 5)
     np.testing.assert_array_equal(g1.neighbor_idx, g2.neighbor_idx)
     np.testing.assert_array_equal(g1.edge_weights, g2.edge_weights)
 
@@ -117,3 +121,65 @@ def test_k_out_of_range():
     with pytest.raises(ConfigError):
         build(COLLINEAR, 4)
 
+
+
+@pytest.mark.parametrize("k", [1, 10, 20])
+def test_exact_at_scale_with_ties_across_row_blocks(k):
+    # A coarse grid gives heavy distance ties and many duplicate points.
+    rng = np.random.default_rng(8)
+    pts = np.round(rng.normal(size=(10_500, 3)), 1)
+    g = build(Dataset(pts), k)
+    # Both sides of every 4096-row block boundary, the ends, a random sample.
+    boundary = [b + s for b in (4096, 8192) for s in (-2, -1, 0, 1)]
+    rows = np.unique(np.r_[0, boundary, len(pts) - 1, rng.choice(len(pts), 60)])
+    idx, dist = knn_rows_oracle(pts, rows, k)
+    np.testing.assert_array_equal(g.neighbor_idx[rows], idx)
+    np.testing.assert_array_equal(g.neighbor_dist[rows], dist)
+
+
+def _assert_same_graph(a, b):
+    assert a.k == b.k
+    for name in GRAPH_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes(), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 30).flatmap(
+        lambda n: st.tuples(
+            st.integers(1, 3).flatmap(
+                lambda d: st.lists(
+                    st.lists(st.integers(0, 3), min_size=d, max_size=d),
+                    min_size=n,
+                    max_size=n,
+                )
+            ),
+            st.integers(1, n - 1),
+            st.integers(1, n - 1),
+        )
+    ),
+    st.sampled_from([1e-12, 1.0, 1e12]),
+)
+@example(([[0], [0]], 1, 1), 1.0)  # N=2, d=1, all equal
+@example(([[1, 2]] * 6, 5, 2), 1e12)  # all equal, larger k first
+def test_smaller_k_after_larger_equals_fresh_build(case, scale):
+    rows, k_a, k_b = case
+    pts = np.array(rows, dtype=float) * scale
+    ds = Dataset(pts)
+    build(ds, max(k_a, k_b))
+    _assert_same_graph(build(ds, min(k_a, k_b)), build(Dataset(pts), min(k_a, k_b)))
+    _assert_same_graph(build(ds, k_a), build(Dataset(pts), k_a))
+
+
+def test_graph_shared_per_instance_never_by_content():
+    rng = np.random.default_rng(9)
+    pts = rng.normal(size=(40, 2))
+    a, b = Dataset(pts), Dataset(pts)
+    ga, gb = build(a, 5), build(b, 5)
+    assert build(a, 5) is ga
+    assert ga is not gb
+    for name in GRAPH_ARRAYS:
+        assert not np.shares_memory(getattr(ga, name), getattr(gb, name))
+    assert build(b, 3) is not build(a, 3)
