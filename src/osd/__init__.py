@@ -30,14 +30,7 @@ from .explosion import (
 )
 from .knngraph import KnnGraph, build
 from .metrics import EvalResult, average_precision, evaluate_scores, roc_auc
-from .pipeline import (
-    EvalReport,
-    RunConfig,
-    evaluate,
-    prepare,
-    run_osd,
-    scaling_probe,
-)
+from .pipeline import RunConfig, RunReport, evaluate, prepare, run_osd
 from .repulsion import find_invalid_neighbors, repel, repulsive_force
 from .synth import gen_clusters_outliers, gen_imbalance_series
 
@@ -48,13 +41,13 @@ __all__ = [
     "ConfigError",
     "DataError",
     "Dataset",
-    "EvalReport",
     "EvalResult",
     "ExplosionParams",
     "InflectionResult",
     "KnnGraph",
     "Labels",
     "RunConfig",
+    "RunReport",
     "WeightHistogram",
     "average_precision",
     "bomb_position",
@@ -80,7 +73,6 @@ __all__ = [
     "repulsive_force",
     "roc_auc",
     "run_osd",
-    "scaling_probe",
     "shock_force",
     "weight_histogram",
 ]

@@ -2,9 +2,12 @@
 
 Subcommands:
     osd transform   relocate a dataset and dump the result
-    osd eval        before/after detector comparison with a JSON report
+    osd eval        before/after detector comparison
     osd synth       emit a synthetic cluster+outlier benchmark as CSV
-    osd probe       wall-clock scaling table over dataset sizes
+
+transform and eval write the same schema-versioned RunReport JSON with
+--out-report; eval's adds the detector results.  Wall-clock timing is
+measured by bench/run.py.
 
 Exit codes: 0 success, 2 configuration error, 3 data error.
 """
@@ -12,7 +15,6 @@ Exit codes: 0 success, 2 configuration error, 3 data error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .dataset import load_csv
@@ -24,7 +26,6 @@ from .pipeline import (
     evaluate,
     prepare,
     run_osd,
-    scaling_probe,
     write_partition_csv,
     write_points_csv,
     write_tidy_metrics_csv,
@@ -78,17 +79,17 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     config = _config_from(args)
     ds, labels = load_csv(args.input, _label_col(args))
     prepared = prepare(ds, config)
-    result, partition, diag = run_osd(prepared, config)
+    result, partition, report = run_osd(prepared, config)
     if args.out_data:
         write_points_csv(args.out_data, result, labels)
     if args.dump_blocks:
         write_partition_csv(args.dump_blocks, partition)
     if args.out_report:
         with open(args.out_report, "w") as fh:
-            json.dump(diag, fh, indent=2, sort_keys=True)
+            fh.write(report.to_json())
     print(
-        f"transformed {ds.count} objects: {diag['n_blocks']} blocks, "
-        f"threshold {diag['threshold']}, {diag['n_invalid_pairs']} invalid pairs"
+        f"transformed {ds.count} objects: {report.n_blocks} blocks, "
+        f"threshold {report.threshold}, {report.n_invalid_pairs} invalid pairs"
     )
     return 0
 
@@ -99,8 +100,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if labels is None:
         raise DataError("eval requires --label-col")
     prepared = prepare(ds, config)
-    result, _, diag = run_osd(prepared, config)
-    report = evaluate(prepared, result, labels, config, diag)
+    result, _, report = run_osd(prepared, config)
+    report = evaluate(prepared, result, labels, config, report)
     if args.out_data:
         write_points_csv(args.out_data, result, labels)
     if args.out_report:
@@ -127,18 +128,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         )
     write_points_csv(args.out, ds, labels)
     print(f"wrote {ds.count} x {ds.dim} points to {args.out}")
-    return 0
-
-
-def _cmd_probe(args: argparse.Namespace) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    config = RunConfig(k=args.k, seed=args.seed)
-    rows = scaling_probe(sizes, config, dim=args.dim)
-    for row in rows:
-        print(f"N={row['n']:>7}  {row['seconds']:8.3f}s  E={row['n_edges']}")
-    if args.out_report:
-        with open(args.out_report, "w") as fh:
-            json.dump(rows, fh, indent=2)
     return 0
 
 
@@ -175,14 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("probe", help="scaling wall-clock table")
-    p.add_argument("--sizes", default="1000,2000,4000",
-                   help="comma-separated dataset sizes")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--dim", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-report", default=None)
-    p.set_defaults(func=_cmd_probe)
     return parser
 
 

@@ -31,13 +31,20 @@ def _average_ranks(scores: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _checked(scores: np.ndarray, labels: Labels) -> np.ndarray:
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != labels.flags.shape:
+        raise DataError(f"scores of shape {scores.shape} do not match {labels.count} labels")
+    return scores
+
+
 def roc_auc(scores: np.ndarray, labels: Labels) -> float:
     """Probability that a random outlier outscores a random normal.
 
     Ties count half, i.e. the rank-sum (Mann-Whitney) statistic.  Needs at
     least one object of each class.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _checked(scores, labels)
     flags = labels.flags
     n_out = int(flags.sum())
     n_norm = len(flags) - n_out
@@ -55,7 +62,7 @@ def average_precision(scores: np.ndarray, labels: Labels) -> float:
     precision values at each outlier's rank position.  Equal scores are
     ordered by ascending object index (deterministic; no interpolation).
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _checked(scores, labels)
     flags = labels.flags
     n_out = int(flags.sum())
     if n_out == 0:

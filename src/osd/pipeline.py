@@ -1,4 +1,4 @@
-"""End-to-end orchestration: transform, ablations, evaluation, reporting.
+"""End-to-end orchestration: transform, ablations, evaluation, run report.
 
 The transform chain is: k-NN graph -> weight histogram -> knee threshold ->
 block division -> explosion -> invalid-neighbor detection -> repulsion.
@@ -8,7 +8,10 @@ bomb uniformly in the bounding box instead of at the particle centroid,
 object as its own block of mass 1 (one block for everything would be a
 provable fixed point, which would make the ablation meaningless).
 
-Labels never enter the transform; they are only consumed by evaluate().
+One run is recorded in one schema-versioned RunReport: run_osd fills the
+transform fields, evaluate adds the detector results, and both CLI
+commands write it as JSON.  Labels never enter the transform; they are
+only consumed by evaluate().
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -30,14 +33,13 @@ from .explosion import ExplosionParams, constant_g, explode
 from .knngraph import build
 from .metrics import evaluate_scores
 from .repulsion import find_invalid_neighbors, repel
-from .synth import gen_clusters_outliers
 
-__all__ = ["RunConfig", "EvalReport", "prepare", "run_osd", "evaluate", "scaling_probe"]
+__all__ = ["RunConfig", "RunReport", "prepare", "run_osd", "evaluate"]
 
 ABLATIONS = ("none", "random-bomb", "no-repulsion", "no-division")
 DETECTOR_NAMES = ("lof", "iforest", "knn")
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -52,10 +54,6 @@ class RunConfig:
     normalize: bool = True
     ablation: str = "none"
     detectors: tuple[str, ...] = ("lof", "iforest", "knn")
-    lof_neighbors: int = 20
-    iforest_trees: int = 100
-    iforest_subsample: int | None = None
-    knn_score_k: int | None = None  # defaults to the transform's k
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -69,23 +67,40 @@ class RunConfig:
         return self.k if self.k is not None else min(10, n - 1)
 
 
-@dataclass
-class EvalReport:
-    """Before/after metrics per detector plus transform diagnostics."""
+def _config_record(config: RunConfig) -> dict[str, Any]:
+    return {**asdict(config), "detectors": list(config.detectors)}
+
+
+@dataclass(frozen=True)
+class RunReport:
+    """The record of one run: transform diagnostics and detector results.
+
+    A field left at its default (None, empty) means its stage did not run:
+    evaluate() on its own fills only config, detector_results and timings.
+    threshold and knee_bin are also None under the no-division ablation,
+    and knee_bin when the threshold was overridden.  timings holds
+    wall-clock seconds per transform stage and per detector.
+    """
 
     config: dict[str, Any]
-    detector_results: dict[str, dict[str, float]]
-    n_blocks: int
-    block_masses: list[int]
-    threshold: float | None
+    k: int | None = None
+    n_edges: int | None = None
+    threshold: float | None = None
+    knee_bin: int | None = None
+    n_blocks: int | None = None
+    block_masses: list[int] = field(default_factory=list)
+    g_const: float | None = None
+    n_invalid_pairs: int | None = None
+    warnings: list[str] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
+    detector_results: dict[str, dict[str, float]] = field(default_factory=dict)
     schema_version: int = REPORT_SCHEMA_VERSION
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
+    def from_json(cls, text: str) -> "RunReport":
         raw = json.loads(text)
         if raw.get("schema_version") != REPORT_SCHEMA_VERSION:
             raise DataError(f"unsupported report schema: {raw.get('schema_version')}")
@@ -99,51 +114,42 @@ def prepare(ds: Dataset, config: RunConfig) -> Dataset:
 
 def run_osd(
     ds: Dataset, config: RunConfig
-) -> tuple[Dataset, BlockPartition, dict[str, Any]]:
+) -> tuple[Dataset, BlockPartition, RunReport]:
     """Run the full transform on an already-prepared dataset.
 
     Returns the relocated dataset, the block partition used, and a
-    diagnostics dict (threshold, knee bin, block count and masses, edge
-    count, G, invalid-pair count, per-stage wall-clock seconds).
-    Deterministic for a fixed config and seed.
+    RunReport with the transform fields filled (threshold, knee bin, block
+    count and masses, edge count, G, invalid-pair count, warnings and
+    per-stage wall-clock seconds).  Deterministic for a fixed config and
+    seed.
     """
-    diag: dict[str, Any] = {"timings": {}}
+    timings: dict[str, float] = {}
+    warnings: list[str] = []
     clock = time.perf_counter
 
     t0 = clock()
     k = config.resolve_k(ds.count)
     graph = build(ds, k)
-    diag["k"] = k
-    diag["n_edges"] = graph.n_edges
-    diag["timings"]["knngraph"] = clock() - t0
+    timings["knngraph"] = clock() - t0
 
     t0 = clock()
     if config.ablation == "no-division":
         partition = divide(graph, math.inf)  # prunes everything: all singletons
-        diag["threshold"] = None
-        diag["knee_bin"] = None
+        threshold = knee_bin = None
     else:
         hist = weight_histogram(graph)
         knee = find_inflection(hist, override=config.threshold)
         partition = divide(graph, knee.threshold)
-        diag["threshold"] = knee.threshold
-        diag["knee_bin"] = knee.knee_bin
+        threshold, knee_bin = knee.threshold, knee.knee_bin
         if knee.too_coarse:
-            diag.setdefault("warnings", []).append(
-                "histogram too coarse for knee detection; nothing pruned"
-            )
-    diag["n_blocks"] = partition.n_blocks
-    diag["block_masses"] = partition.masses.tolist()
-    diag["timings"]["division"] = clock() - t0
+            warnings.append("histogram too coarse for knee detection; nothing pruned")
+    timings["division"] = clock() - t0
 
     t0 = clock()
     g_const = constant_g(ds, graph)
     if g_const <= 0.0:
-        diag.setdefault("warnings", []).append(
-            "degenerate scale: G = 0, substituting G = 1"
-        )
+        warnings.append("degenerate scale: G = 0, substituting G = 1")
         g_const = 1.0
-    diag["g_const"] = g_const
     params = ExplosionParams(
         T=config.T, sign_mode=config.sign_mode, direction_mode=config.direction_mode
     )
@@ -152,32 +158,43 @@ def run_osd(
         rng = np.random.default_rng(config.seed)
         theta = rng.uniform(ds.points.min(axis=0), ds.points.max(axis=0))
     exploded, _ = explode(ds, partition, params, g_const, theta=theta)
-    diag["timings"]["explosion"] = clock() - t0
+    timings["explosion"] = clock() - t0
 
     t0 = clock()
     if config.ablation == "no-repulsion":
         result = exploded
-        diag["n_invalid_pairs"] = 0
+        n_invalid_pairs = 0
     else:
         invalid = find_invalid_neighbors(graph, exploded, partition)
-        diag["n_invalid_pairs"] = len(invalid)
+        n_invalid_pairs = len(invalid)
         result = repel(exploded, partition, invalid, params)
-    diag["timings"]["repulsion"] = clock() - t0
+    timings["repulsion"] = clock() - t0
 
-    return result, partition, diag
+    report = RunReport(
+        _config_record(config),
+        k=k,
+        n_edges=graph.n_edges,
+        threshold=threshold,
+        knee_bin=knee_bin,
+        n_blocks=partition.n_blocks,
+        block_masses=partition.masses.tolist(),
+        g_const=g_const,
+        n_invalid_pairs=n_invalid_pairs,
+        warnings=warnings,
+        timings=timings,
+    )
+    return result, partition, report
 
 
 def _run_detector(name: str, ds: Dataset, config: RunConfig) -> np.ndarray:
+    """Fixed settings: LOF with 20 neighbors, iForest's defaults, kNN at the transform's k."""
     n = ds.count
     if name == "lof":
-        return detectors.lof_scores(ds, min(config.lof_neighbors, n - 1))
+        return detectors.lof_scores(ds, min(20, n - 1))
     if name == "iforest":
-        return detectors.iforest_scores(
-            ds, config.iforest_trees, config.iforest_subsample, config.seed
-        )
+        return detectors.iforest_scores(ds, seed=config.seed)
     if name == "knn":
-        k = config.knn_score_k or config.resolve_k(n)
-        return detectors.knn_dist_scores(ds, k)
+        return detectors.knn_dist_scores(ds, config.resolve_k(n))
     raise ConfigError(f"unknown detector {name!r}")
 
 
@@ -186,12 +203,17 @@ def evaluate(
     after: Dataset,
     labels: Labels | None,
     config: RunConfig,
-    transform_diag: dict[str, Any] | None = None,
-) -> EvalReport:
-    """Score each configured detector on both datasets and fill the report."""
+    report: RunReport | None = None,
+) -> RunReport:
+    """Score each configured detector on both datasets.
+
+    Returns a copy of ``report`` (the one run_osd produced, or an empty
+    one for ``config``) with the detector results and per-detector timings
+    added; ``report`` itself is left as it was.
+    """
     if labels is None:
         raise DataError("evaluation requires labels")
-    if labels.count != before.count:
+    if labels.count != before.count or labels.count != after.count:
         raise DataError("labels do not match the dataset length")
     results: dict[str, dict[str, float]] = {}
     timings: dict[str, float] = {}
@@ -206,53 +228,12 @@ def evaluate(
             "auc_after": after_res.auc,
             "ap_after": after_res.ap,
         }
-    diag = transform_diag or {}
-    timings.update(diag.get("timings", {}))
-    cfg = asdict(config)
-    cfg["detectors"] = list(cfg["detectors"])
-    return EvalReport(
-        config=cfg,
-        detector_results=results,
-        n_blocks=diag.get("n_blocks", 0),
-        block_masses=diag.get("block_masses", []),
-        threshold=diag.get("threshold"),
-        timings=timings,
-    )
-
-
-def scaling_probe(
-    sizes: list[int], config: RunConfig, dim: int = 5
-) -> list[dict[str, Any]]:
-    """Time the full transform on generated datasets of the given sizes."""
-    if sizes != sorted(sizes):
-        raise ConfigError("sizes must be ascending")
-    rows: list[dict[str, Any]] = []
-    for n in sizes:
-        n_out = max(1, n // 20)
-        ds, _ = gen_clusters_outliers(
-            n_clusters=3,
-            pts_per_cluster=(n - n_out) // 3,
-            n_outliers=n - 3 * ((n - n_out) // 3),
-            dim=dim,
-            separation=30.0,
-            seed=config.seed,
-        )
-        prepared = prepare(ds, config)
-        t0 = time.perf_counter()
-        _, _, diag = run_osd(prepared, config)
-        rows.append(
-            {
-                "n": ds.count,
-                "seconds": time.perf_counter() - t0,
-                "n_edges": diag["n_edges"],
-                "n_blocks": diag["n_blocks"],
-            }
-        )
-    return rows
+    base = report or RunReport(_config_record(config))
+    return replace(base, detector_results=results, timings={**base.timings, **timings})
 
 
 def write_tidy_metrics_csv(
-    path: str | Path, tagged_reports: list[tuple[float, EvalReport]]
+    path: str | Path, tagged_reports: list[tuple[float, RunReport]]
 ) -> None:
     """Long-format (level, metric, value) rows for plotting metric curves.
 

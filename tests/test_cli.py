@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from osd.cli import main
+from osd.pipeline import RunReport
 
 
 def _synth(tmp_path, name="data.csv", seed=0):
@@ -27,7 +29,7 @@ def test_synth_writes_labeled_csv(tmp_path):
 def test_transform_round_trip(tmp_path):
     data = _synth(tmp_path)
     out = tmp_path / "moved.csv"
-    report = tmp_path / "diag.json"
+    report = tmp_path / "report.json"
     blocks = tmp_path / "blocks.csv"
     code = main([
         "transform", "--input", str(data), "--label-col", "label",
@@ -35,8 +37,8 @@ def test_transform_round_trip(tmp_path):
         "--out-report", str(report), "--dump-blocks", str(blocks),
     ])
     assert code == 0
-    diag = json.loads(report.read_text())
-    assert diag["n_blocks"] >= 2
+    rep = json.loads(report.read_text())
+    assert rep["n_blocks"] >= 2
     assert len(out.read_text().splitlines()) == 85
     first_block_row = blocks.read_text().splitlines()[1]
     assert first_block_row.split(",") == ["0", "0"]
@@ -44,7 +46,7 @@ def test_transform_round_trip(tmp_path):
 
 def test_transform_threshold_override(tmp_path):
     data = _synth(tmp_path)
-    report = tmp_path / "diag.json"
+    report = tmp_path / "report.json"
     code = main([
         "transform", "--input", str(data), "--label-col", "label",
         "--k", "5", "--threshold", "-0.7", "--out-report", str(report),
@@ -73,6 +75,24 @@ def test_eval_writes_report(tmp_path):
     assert len(lines) == 1 + 2 * 4
 
 
+def test_transform_and_eval_write_one_report_schema(tmp_path):
+    data = _synth(tmp_path)
+    flags = ["--input", str(data), "--label-col", "label", "--k", "5",
+             "--seed", "3", "--ablation", "random-bomb"]
+    paths = {cmd: tmp_path / f"{cmd}.json" for cmd in ("transform", "eval")}
+    for cmd, path in paths.items():
+        assert main([cmd, *flags, "--out-report", str(path)]) == 0
+    texts = {cmd: path.read_text() for cmd, path in paths.items()}
+    reports = {cmd: RunReport.from_json(text) for cmd, text in texts.items()}
+    assert json.loads(texts["transform"]).keys() == json.loads(texts["eval"]).keys()
+    transform, evaluated = reports["transform"], reports["eval"]
+    assert transform.n_blocks >= 2 and transform.timings
+    assert transform.detector_results == {}
+    assert set(evaluated.detector_results) == {"lof", "iforest", "knn"}
+    strip = {"timings": {}, "detector_results": {}}
+    assert replace(transform, **strip) == replace(evaluated, **strip)
+
+
 def test_eval_requires_label_column(tmp_path):
     f = tmp_path / "plain.csv"
     f.write_text("1,2\n3,4\n5,6\n")
@@ -94,17 +114,6 @@ def test_bad_flag_value_exits_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["transform", "--input", "x.csv", "--ablation", "bogus"])
     assert exc.value.code == 2
-
-
-def test_probe_prints_table(tmp_path, capsys):
-    report = tmp_path / "probe.json"
-    code = main(["probe", "--sizes", "200,300", "--k", "4", "--dim", "2",
-                 "--out-report", str(report)])
-    assert code == 0
-    rows = json.loads(report.read_text())
-    assert [r["n"] for r in rows] == [200, 300]
-    out = capsys.readouterr().out
-    assert "N=" in out
 
 
 def test_imbalance_synth(tmp_path):

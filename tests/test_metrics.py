@@ -73,6 +73,15 @@ def test_ap_matches_definition_oracle_on_random_instances():
         )
 
 
+def test_score_label_length_mismatch_rejected():
+    labels = Labels(np.array([0, 0, 1, 0, 1, 0]))
+    for scores in (np.array([0.1, 0.2, 0.9]), np.arange(7.0)):
+        with pytest.raises(DataError):
+            roc_auc(scores, labels)
+        with pytest.raises(DataError):
+            average_precision(scores, labels)
+
+
 def test_ap_rejects_no_outliers():
     with pytest.raises(DataError):
         average_precision(np.array([1.0, 2.0]), Labels(np.array([0, 0])))

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import inspect
 import json
 
@@ -7,14 +9,7 @@ from scipy.spatial.distance import cdist
 
 from osd.dataset import Dataset, Labels
 from osd.errors import ConfigError, DataError
-from osd.pipeline import (
-    EvalReport,
-    RunConfig,
-    evaluate,
-    prepare,
-    run_osd,
-    scaling_probe,
-)
+from osd.pipeline import RunConfig, RunReport, evaluate, prepare, run_osd
 
 
 def ring_dataset(seed, n_outliers=5):
@@ -44,18 +39,18 @@ def test_single_block_dataset_is_fixed_point():
     rng = np.random.default_rng(0)
     ds = Dataset(rng.normal(size=(20, 2)))
     config = RunConfig(k=3, threshold=-np.inf, normalize=False)
-    out, partition, diag = run_osd(ds, config)
+    out, partition, report = run_osd(ds, config)
     assert partition.n_blocks == 1
     np.testing.assert_array_equal(out.points, ds.points)
-    assert diag["n_invalid_pairs"] == 0
+    assert report.n_invalid_pairs == 0
 
 
 def test_no_repulsion_equals_none_when_no_invalid_pairs():
     rng = np.random.default_rng(1)
     ds = Dataset(rng.normal(size=(25, 2)))
     base = RunConfig(k=3, threshold=-np.inf, normalize=False)
-    out_none, _, diag = run_osd(ds, base)
-    assert diag["n_invalid_pairs"] == 0
+    out_none, _, report = run_osd(ds, base)
+    assert report.n_invalid_pairs == 0
     out_nore, _, _ = run_osd(ds, RunConfig(k=3, threshold=-np.inf,
                                            normalize=False,
                                            ablation="no-repulsion"))
@@ -79,11 +74,11 @@ def test_full_pipeline_deterministic():
     ds, labels = ring_dataset(3)
     config = RunConfig(k=5, seed=9)
     prepared = prepare(ds, config)
-    out1, _, diag1 = run_osd(prepared, config)
-    out2, _, diag2 = run_osd(prepared, config)
+    out1, _, report1 = run_osd(prepared, config)
+    out2, _, report2 = run_osd(prepared, config)
     np.testing.assert_array_equal(out1.points, out2.points)
-    assert diag1["threshold"] == diag2["threshold"]
-    assert diag1["n_invalid_pairs"] == diag2["n_invalid_pairs"]
+    assert report1.threshold == report2.threshold
+    assert report1.n_invalid_pairs == report2.n_invalid_pairs
 
 
 def test_transform_never_sees_labels():
@@ -97,17 +92,17 @@ def test_transform_never_sees_labels():
 def test_degenerate_scale_warns_and_substitutes():
     ds = Dataset(np.zeros((6, 2)))
     config = RunConfig(k=2, threshold=1.0, normalize=False)  # singletons
-    out, _, diag = run_osd(ds, config)
-    assert any("G = 0" in w for w in diag["warnings"])
+    out, _, report = run_osd(ds, config)
+    assert any("G = 0" in w for w in report.warnings)
     np.testing.assert_array_equal(out.points, ds.points)  # eps guard holds
 
 
 def test_no_division_ablation_gives_singletons():
     ds, _ = ring_dataset(2)
     config = RunConfig(k=5, ablation="no-division")
-    _, partition, diag = run_osd(prepare(ds, config), config)
+    _, partition, report = run_osd(prepare(ds, config), config)
     assert partition.n_blocks == ds.count
-    assert diag["threshold"] is None
+    assert report.threshold is None
 
 
 def test_random_bomb_ablation_seeded():
@@ -148,20 +143,52 @@ def test_evaluate_requires_labels():
         evaluate(ds, ds, None, RunConfig(k=5))
 
 
+def test_evaluate_rejects_after_of_another_length():
+    ds, labels = ring_dataset(7)
+    shorter = Dataset(ds.points[:-1])
+    with pytest.raises(DataError, match="dataset length"):
+        evaluate(ds, shorter, labels, RunConfig(k=5, detectors=("knn",)))
+
+
+def test_evaluate_without_report_leaves_transform_fields_at_defaults():
+    ds, labels = ring_dataset(9)
+    config = RunConfig(k=5, detectors=("knn",))
+    report = evaluate(ds, ds, labels, config)
+    assert report == RunReport(
+        config={**dataclasses.asdict(config), "detectors": ["knn"]},
+        detector_results=report.detector_results,
+        timings=report.timings,
+    )
+    assert set(report.detector_results) == set(report.timings) == {"knn"}
+
+
+def test_evaluate_copies_the_transform_report():
+    ds, labels = ring_dataset(10)
+    config = RunConfig(k=5, detectors=("knn",))
+    prepared = prepare(ds, config)
+    out, _, transform = run_osd(prepared, config)
+    kept = copy.deepcopy(transform)
+    report = evaluate(prepared, out, labels, config, transform)
+    assert transform == kept  # the argument is not mutated
+    assert report.detector_results and not transform.detector_results
+    assert report.timings == {**transform.timings, "knn": report.timings["knn"]}
+    assert dataclasses.replace(report, detector_results={}, timings=transform.timings) == transform
+
+
 def test_report_json_round_trip():
     ds, labels = ring_dataset(8)
     config = RunConfig(k=5, detectors=("knn",), seed=1)
     prepared = prepare(ds, config)
-    out, _, diag = run_osd(prepared, config)
-    report = evaluate(prepared, out, labels, config, diag)
-    restored = EvalReport.from_json(report.to_json())
+    out, _, report = run_osd(prepared, config)
+    report = evaluate(prepared, out, labels, config, report)
+    restored = RunReport.from_json(report.to_json())
     assert restored == report
-    assert json.loads(report.to_json())["schema_version"] == 1
+    assert json.loads(report.to_json())["schema_version"] == 2
 
 
 def test_report_rejects_unknown_schema():
     with pytest.raises(DataError):
-        EvalReport.from_json('{"schema_version": 99}')
+        RunReport.from_json('{"schema_version": 99}')
 
 
 def test_tidy_metrics_export(tmp_path):
@@ -172,20 +199,11 @@ def test_tidy_metrics_export(tmp_path):
     for level, seed in ((1.0, 2), (4.0, 3)):
         ds, labels = ring_dataset(seed)
         prepared = prepare(ds, config)
-        out, _, diag = run_osd(prepared, config)
-        tagged.append((level, evaluate(prepared, out, labels, config, diag)))
+        out, _, report = run_osd(prepared, config)
+        tagged.append((level, evaluate(prepared, out, labels, config, report)))
     path = tmp_path / "tidy.csv"
     write_tidy_metrics_csv(path, tagged)
     lines = path.read_text().splitlines()
     assert lines[0] == "level,metric,value"
     assert len(lines) == 1 + 2 * 4  # two levels x four knn metrics
     assert lines[1].startswith("1.0,knn_auc_before,")
-
-
-def test_scaling_probe_rows_and_bookkeeping():
-    rows = scaling_probe([200, 400], RunConfig(k=5, seed=0), dim=3)
-    assert [r["n"] for r in rows] == [200, 400]
-    assert all(r["seconds"] > 0 for r in rows)
-    assert all(r["n_edges"] > 0 for r in rows)
-    with pytest.raises(ConfigError):
-        scaling_probe([400, 200], RunConfig(k=5))
