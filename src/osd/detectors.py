@@ -53,6 +53,9 @@ def knn_dist_scores(ds: Dataset, k: int) -> np.ndarray:
 
 # --- isolation forest -------------------------------------------------------
 
+_N_TREES = 100
+_SUBSAMPLE = 256  # points per tree, capped at N
+
 _HARMONIC_CACHE = [0.0]  # _HARMONIC_CACHE[m] == sum(1/i for i in 1..m)
 
 
@@ -69,107 +72,57 @@ def average_path_length(n: int) -> float:
     return 2.0 * _harmonic(n - 1) - 2.0 * (n - 1) / n
 
 
-class _TreeBuilder:
-    """Grows one isolation tree into flat arrays for vectorized traversal."""
+def _grow_and_score(
+    pts: np.ndarray,
+    sample: np.ndarray,
+    reach: np.ndarray,
+    depth: int,
+    limit: int,
+    rng: np.random.Generator,
+    paths: np.ndarray,
+) -> None:
+    """Grow one isolation-tree node and score the points that reach it.
 
-    def __init__(self, data: np.ndarray, rng: np.random.Generator, height_limit: int):
-        self.data = data
-        self.rng = rng
-        self.limit = height_limit
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.leaf_path: list[float] = []
-
-    def grow(self, idx: np.ndarray, depth: int) -> int:
-        node = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.leaf_path.append(0.0)
-
-        size = len(idx)
-        if size <= 1 or depth >= self.limit:
-            self.leaf_path[node] = depth + average_path_length(size)
-            return node
-        sub = self.data[idx]
+    ``sample`` indexes the tree's subsample at this node and ``reach`` every
+    dataset point that gets here; one random test splits both.  At a leaf
+    each reaching point's running path sum gains depth + c(leaf size).
+    """
+    size = len(sample)
+    if size > 1 and depth < limit:
+        sub = pts[sample]
         lo = sub.min(axis=0)
         hi = sub.max(axis=0)
         splittable = np.flatnonzero(hi > lo)
-        if splittable.size == 0:  # all remaining points coincide
-            self.leaf_path[node] = depth + average_path_length(size)
-            return node
-
-        feat = int(self.rng.choice(splittable))
-        s = float(self.rng.uniform(lo[feat], hi[feat]))
-        mask = sub[:, feat] < s
-        self.feature[node] = feat
-        self.threshold[node] = s
-        self.left[node] = self.grow(idx[mask], depth + 1)
-        self.right[node] = self.grow(idx[~mask], depth + 1)
-        return node
-
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        return (
-            np.array(self.feature, dtype=np.int64),
-            np.array(self.threshold),
-            np.array(self.left, dtype=np.int64),
-            np.array(self.right, dtype=np.int64),
-            np.array(self.leaf_path),
-        )
+        if splittable.size:  # otherwise all remaining points coincide
+            feat = splittable[rng.integers(splittable.size)]
+            s = rng.uniform(lo[feat], hi[feat])
+            left = sub[:, feat] < s
+            reach_left = pts[reach, feat] < s
+            for part, reach_part in ((left, reach_left), (~left, ~reach_left)):
+                _grow_and_score(
+                    pts, sample[part], reach[reach_part], depth + 1, limit, rng, paths
+                )
+            return
+    paths[reach] += depth + average_path_length(size)
 
 
-def _tree_paths(tree: tuple[np.ndarray, ...], pts: np.ndarray) -> np.ndarray:
-    """Path length of every point through one flattened tree."""
-    feature, threshold, left, right, leaf_path = tree
-    node = np.zeros(len(pts), dtype=np.int64)
-    out = np.zeros(len(pts))
-    active = np.arange(len(pts))
-    while active.size:
-        cur = node[active]
-        feat = feature[cur]
-        at_leaf = feat < 0
-        done = active[at_leaf]
-        out[done] = leaf_path[node[done]]
-        active = active[~at_leaf]
-        if not active.size:
-            break
-        cur = cur[~at_leaf]
-        go_left = pts[active, feature[cur]] < threshold[cur]
-        node[active] = np.where(go_left, left[cur], right[cur])
-    return out
-
-
-def iforest_scores(
-    ds: Dataset,
-    n_trees: int = 100,
-    subsample: int | None = None,
-    seed: int = 0,
-) -> np.ndarray:
+def iforest_scores(ds: Dataset, seed: int = 0) -> np.ndarray:
     """Isolation-forest scores 2^(-E[h] / c(subsample)), in (0, 1).
 
+    100 trees, each grown on min(256, N) points drawn without replacement
+    and never stored: every point is scored while its tree grows.
     Deterministic for a fixed seed: each tree draws from its own generator
-    spawned from one seed sequence, so tree count changes do not reshuffle
-    earlier trees.
+    spawned from one seed sequence.
     """
     n = ds.count
-    if subsample is None:
-        subsample = min(256, n)
-    if n_trees < 1:
-        raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
-    if not 2 <= subsample <= n:
-        raise ConfigError(f"subsample must be in [2, {n}], got {subsample}")
-
+    subsample = min(_SUBSAMPLE, n)
     pts = ds.points
     height_limit = math.ceil(math.log2(subsample))
     paths = np.zeros(n)
-    for child in np.random.SeedSequence(seed).spawn(n_trees):
+    all_points = np.arange(n)
+    for child in np.random.SeedSequence(seed).spawn(_N_TREES):
         rng = np.random.default_rng(child)
         sample = rng.choice(n, size=subsample, replace=False)
-        builder = _TreeBuilder(pts, rng, height_limit)
-        builder.grow(sample, 0)
-        paths += _tree_paths(builder.arrays(), pts)
-    mean_path = paths / n_trees
+        _grow_and_score(pts, sample, all_points, 0, height_limit, rng, paths)
+    mean_path = paths / _N_TREES
     return 2.0 ** (-mean_path / average_path_length(subsample))

@@ -57,6 +57,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        self.explosion_params()  # raises ConfigError on a bad T or mode
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"ablation must be one of {ABLATIONS}")
         for name in self.detectors:
@@ -65,6 +66,11 @@ class RunConfig:
 
     def resolve_k(self, n: int) -> int:
         return self.k if self.k is not None else min(10, n - 1)
+
+    def explosion_params(self) -> ExplosionParams:
+        return ExplosionParams(
+            T=self.T, sign_mode=self.sign_mode, direction_mode=self.direction_mode
+        )
 
 
 def _config_record(config: RunConfig) -> dict[str, Any]:
@@ -101,10 +107,18 @@ class RunReport:
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
-        raw = json.loads(text)
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"report is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise DataError("report must be a JSON object")
         if raw.get("schema_version") != REPORT_SCHEMA_VERSION:
             raise DataError(f"unsupported report schema: {raw.get('schema_version')}")
-        return cls(**raw)
+        try:
+            return cls(**raw)
+        except TypeError as exc:  # a missing or unknown field
+            raise DataError(f"malformed report: {exc}") from exc
 
 
 def prepare(ds: Dataset, config: RunConfig) -> Dataset:
@@ -150,9 +164,7 @@ def run_osd(
     if g_const <= 0.0:
         warnings.append("degenerate scale: G = 0, substituting G = 1")
         g_const = 1.0
-    params = ExplosionParams(
-        T=config.T, sign_mode=config.sign_mode, direction_mode=config.direction_mode
-    )
+    params = config.explosion_params()
     theta = None
     if config.ablation == "random-bomb":
         rng = np.random.default_rng(config.seed)

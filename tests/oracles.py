@@ -1,10 +1,14 @@
 """Independent brute-force oracles the tests check the library against.
 
-Everything here is written from the definitions with plain loops: no code
-is shared with the implementations under test.
+Everything here is written from the definitions with plain loops, except
+iforest_oracle, which stores each tree in flat arrays and walks the points
+through it afterwards where the library scores them while the tree grows.
+No code is shared with the implementations under test.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -140,3 +144,108 @@ def knn_rows_oracle(
         order = order[order != i][:k]
         idx[r], dist[r] = others[order], d[order]
     return idx, dist
+
+
+def _average_path_length(n: int) -> float:
+    """c(n) = 2H(n-1) - 2(n-1)/n, the harmonic number summed term by term."""
+    if n <= 1:
+        return 0.0
+    harmonic = 0.0
+    for i in range(1, n):
+        harmonic += 1.0 / i
+    return 2.0 * harmonic - 2.0 * (n - 1) / n
+
+
+class _TreeBuilder:
+    """Grows one isolation tree into flat arrays for vectorized traversal."""
+
+    def __init__(self, data: np.ndarray, rng: np.random.Generator, height_limit: int):
+        self.data = data
+        self.rng = rng
+        self.limit = height_limit
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.leaf_path: list[float] = []
+
+    def grow(self, idx: np.ndarray, depth: int) -> int:
+        node = len(self.feature)
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.leaf_path.append(0.0)
+
+        size = len(idx)
+        if size <= 1 or depth >= self.limit:
+            self.leaf_path[node] = depth + _average_path_length(size)
+            return node
+        sub = self.data[idx]
+        lo = sub.min(axis=0)
+        hi = sub.max(axis=0)
+        splittable = np.flatnonzero(hi > lo)
+        if splittable.size == 0:  # all remaining points coincide
+            self.leaf_path[node] = depth + _average_path_length(size)
+            return node
+
+        feat = int(self.rng.choice(splittable))
+        s = float(self.rng.uniform(lo[feat], hi[feat]))
+        mask = sub[:, feat] < s
+        self.feature[node] = feat
+        self.threshold[node] = s
+        self.left[node] = self.grow(idx[mask], depth + 1)
+        self.right[node] = self.grow(idx[~mask], depth + 1)
+        return node
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        return (
+            np.array(self.feature, dtype=np.int64),
+            np.array(self.threshold),
+            np.array(self.left, dtype=np.int64),
+            np.array(self.right, dtype=np.int64),
+            np.array(self.leaf_path),
+        )
+
+
+def _tree_paths(tree: tuple[np.ndarray, ...], pts: np.ndarray) -> np.ndarray:
+    """Path length of every point through one flattened tree."""
+    feature, threshold, left, right, leaf_path = tree
+    node = np.zeros(len(pts), dtype=np.int64)
+    out = np.zeros(len(pts))
+    active = np.arange(len(pts))
+    while active.size:
+        cur = node[active]
+        feat = feature[cur]
+        at_leaf = feat < 0
+        done = active[at_leaf]
+        out[done] = leaf_path[node[done]]
+        active = active[~at_leaf]
+        if not active.size:
+            break
+        cur = cur[~at_leaf]
+        go_left = pts[active, feature[cur]] < threshold[cur]
+        node[active] = np.where(go_left, left[cur], right[cur])
+    return out
+
+
+def iforest_oracle(pts: np.ndarray, seed: int) -> np.ndarray:
+    """Isolation forest of 100 stored trees over min(256, N) samples each.
+
+    Each tree is grown into flat arrays first and every point is then
+    walked through it level by level; the trees draw from generators
+    spawned from one seed sequence, in order.
+    """
+    n = len(pts)
+    n_trees = 100
+    subsample = min(256, n)
+    height_limit = math.ceil(math.log2(subsample))
+    paths = np.zeros(n)
+    for child in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(child)
+        sample = rng.choice(n, size=subsample, replace=False)
+        builder = _TreeBuilder(pts, rng, height_limit)
+        builder.grow(sample, 0)
+        paths += _tree_paths(builder.arrays(), pts)
+    mean_path = paths / n_trees
+    return 2.0 ** (-mean_path / _average_path_length(subsample))

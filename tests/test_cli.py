@@ -116,6 +116,10 @@ def test_bad_flag_value_exits_two(tmp_path):
     assert exc.value.code == 2
 
 
+def test_bad_explosion_setting_exits_two_before_reading_input():
+    assert main(["transform", "--input", "/no/such.csv", "--T", "0"]) == 2
+
+
 def test_imbalance_synth(tmp_path):
     out = tmp_path / "imb.csv"
     code = main(["synth", "--imbalance-level", "4", "--seed", "1",

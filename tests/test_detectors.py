@@ -10,7 +10,7 @@ from osd.detectors import (
 )
 from osd.errors import ConfigError
 
-from oracles import knn_oracle, lof_oracle
+from oracles import iforest_oracle, knn_oracle, lof_oracle
 
 
 def _grid(side=8):
@@ -116,11 +116,11 @@ def test_iforest_score_formula_fixed_point():
 def test_iforest_scores_in_unit_interval_and_deterministic():
     rng = np.random.default_rng(5)
     ds = Dataset(rng.normal(size=(80, 3)))
-    s1 = iforest_scores(ds, n_trees=50, seed=123)
-    s2 = iforest_scores(ds, n_trees=50, seed=123)
+    s1 = iforest_scores(ds, seed=123)
+    s2 = iforest_scores(ds, seed=123)
     np.testing.assert_array_equal(s1, s2)
     assert np.all((s1 > 0) & (s1 < 1))
-    s3 = iforest_scores(ds, n_trees=50, seed=124)
+    s3 = iforest_scores(ds, seed=124)
     assert not np.array_equal(s1, s3)
 
 
@@ -129,24 +129,35 @@ def test_iforest_far_outlier_tops_scores_across_seeds():
     base = rng.standard_normal((60, 2)) * 0.5
     ds = Dataset(np.vstack([base, [[30.0, 30.0]]]))
     hits = sum(
-        int(np.argmax(iforest_scores(ds, n_trees=100, seed=seed))) == 60
+        int(np.argmax(iforest_scores(ds, seed=seed))) == 60
         for seed in range(100)
     )
     assert hits >= 95
 
 
-def test_iforest_parameter_validation():
-    ds = Dataset(np.zeros((4, 2)))
-    with pytest.raises(ConfigError):
-        iforest_scores(ds, n_trees=0)
-    with pytest.raises(ConfigError):
-        iforest_scores(ds, subsample=1)
-    with pytest.raises(ConfigError):
-        iforest_scores(ds, subsample=5)
-
-
 def test_iforest_constant_data():
     ds = Dataset(np.ones((10, 2)))
-    scores = iforest_scores(ds, n_trees=10, seed=0)
+    scores = iforest_scores(ds, seed=0)
     assert np.all(np.isfinite(scores))
     assert np.allclose(scores, scores[0])
+
+
+_SPREAD = np.random.default_rng(8).normal(size=(300, 3))  # more than one tree samples
+_IFOREST_CASES = {
+    "two_points_d1": np.array([[0.0], [1.0]]),
+    "all_equal": np.full((20, 2), 3.5),
+    "rounded_duplicates": np.round(np.random.default_rng(9).uniform(size=(400, 2)), 1),
+    "fewer_than_subsample": _SPREAD[:90],
+    "more_than_subsample": _SPREAD,
+    "scaled_1e-12": _SPREAD * 1e-12,
+    "scaled_1e12": _SPREAD * 1e12,
+    # a split value often lands exactly on a coordinate only a few ulps away
+    "ulps_apart": 1.0 + np.random.default_rng(10).integers(4, size=(300, 2)) * 2.0**-52,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 31])
+@pytest.mark.parametrize("case", sorted(_IFOREST_CASES))
+def test_iforest_equals_tree_oracle_bitwise(case, seed):
+    pts = _IFOREST_CASES[case]
+    assert np.array_equal(iforest_scores(Dataset(pts), seed=seed), iforest_oracle(pts, seed))

@@ -35,6 +35,12 @@ def test_config_validation():
         RunConfig(detectors=("lof", "nope"))
 
 
+def test_config_rejects_bad_explosion_settings_at_construction():
+    for bad in ({"T": 0}, {"sign_mode": "bogus"}, {"direction_mode": "x"}):
+        with pytest.raises(ConfigError):
+            RunConfig(**bad)
+
+
 def test_single_block_dataset_is_fixed_point():
     rng = np.random.default_rng(0)
     ds = Dataset(rng.normal(size=(20, 2)))
@@ -189,6 +195,20 @@ def test_report_json_round_trip():
 def test_report_rejects_unknown_schema():
     with pytest.raises(DataError):
         RunReport.from_json('{"schema_version": 99}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"schema_version": 2}',
+        '{"schema_version": 2, "config": {}, "unknown": 1}',
+        "[1]",
+        "{not json",
+    ],
+)
+def test_report_from_json_rejects_malformed_input(text):
+    with pytest.raises(DataError):
+        RunReport.from_json(text)
 
 
 def test_tidy_metrics_export(tmp_path):
