@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightHistogram:
     """Equidistant histogram of edge weights.
 
@@ -40,21 +40,15 @@ class WeightHistogram:
 
     bin_edges: np.ndarray
     probs: np.ndarray
-    bin_width: float
-
-    @property
-    def n_bins(self) -> int:
-        return len(self.probs)
 
 
 @dataclass(frozen=True)
 class InflectionResult:
     threshold: float
-    knee_bin: int | None  # None when overridden or too few bins to detect
-    too_coarse: bool = False  # True when the no-prune fallback fired
+    knee_bin: int | None  # None when there are too few bins to detect a knee
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockPartition:
     """Partition of all objects into connected components of the pruned graph.
 
@@ -74,12 +68,6 @@ class BlockPartition:
     def n_objects(self) -> int:
         return self.assignment.shape[0]
 
-    @property
-    def blocks(self) -> list[np.ndarray]:
-        """Each block's member indices, ascending, in block-id order."""
-        order = np.argsort(self.assignment, kind="stable")
-        return np.split(order, np.cumsum(self.masses)[:-1])
-
 
 def weight_histogram(g: KnnGraph) -> WeightHistogram:
     """Bin the deduplicated edge weights into equidistant intervals.
@@ -97,21 +85,19 @@ def weight_histogram(g: KnnGraph) -> WeightHistogram:
 
     if wmax == wmin:
         edges = np.array([wmin - 0.5, wmin, wmin + 0.5])
-        width = 0.5
     elif n > 20:
         width = (wmax - wmin) * 10.0 / n
         nbins = math.ceil(n / 10)
         edges = wmin + width * np.arange(nbins + 1)
         edges[-1] = max(edges[-1], wmax)  # float guard: cover max exactly
     else:
-        width = (wmax - wmin) / 2.0
-        edges = np.array([wmin, wmin + width, wmax])
+        edges = np.array([wmin, wmin + (wmax - wmin) / 2.0, wmax])
 
     counts, _ = np.histogram(w, bins=edges)
-    return WeightHistogram(edges, counts / n, float(width))
+    return WeightHistogram(edges, counts / n)
 
 
-def find_inflection(h: WeightHistogram, override: float | None = None) -> InflectionResult:
+def find_inflection(h: WeightHistogram) -> InflectionResult:
     """Locate the knee of the weight-probability curve.
 
     Smooths probs with a 3-bin moving average, then maximizes the discrete
@@ -123,11 +109,9 @@ def find_inflection(h: WeightHistogram, override: float | None = None) -> Inflec
     the winning bin.  With fewer than 3 bins there is no interior bin, so
     the minimum weight is returned (prunes nothing).
     """
-    if override is not None:
-        return InflectionResult(float(override), None)
     p = h.probs
     if len(p) < 3:
-        return InflectionResult(float(h.bin_edges[0]), None, too_coarse=True)
+        return InflectionResult(float(h.bin_edges[0]), None)
 
     sm = np.empty_like(p)
     sm[0] = (p[0] + p[1]) / 2.0

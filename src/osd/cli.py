@@ -19,6 +19,7 @@ import sys
 
 from .dataset import load_csv
 from .errors import ConfigError, DataError
+from .explosion import DIRECTION_MODES, SIGN_MODES
 from .pipeline import (
     ABLATIONS,
     DETECTOR_NAMES,
@@ -42,23 +43,14 @@ def _add_transform_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--T", type=float, default=1.0, help="explosion duration")
     p.add_argument("--threshold", type=float, default=None,
                    help="pruning-weight override; skips knee detection")
-    p.add_argument("--sign-mode", choices=("corrected", "literal"),
-                   default="corrected")
-    p.add_argument("--direction-mode", choices=("corrected", "literal"),
-                   default="corrected")
+    p.add_argument("--sign-mode", choices=SIGN_MODES, default="corrected")
+    p.add_argument("--direction-mode", choices=DIRECTION_MODES, default="corrected")
     p.add_argument("--no-normalize", action="store_true",
                    help="skip per-feature min-max scaling")
     p.add_argument("--ablation", choices=ABLATIONS, default="none")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-report", default=None, help="JSON report path")
     p.add_argument("--out-data", default=None, help="output CSV path")
-
-
-def _label_col(args: argparse.Namespace) -> str | int | None:
-    label_col = args.label_col
-    if isinstance(label_col, str) and label_col.isdigit():
-        return int(label_col)
-    return label_col
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
@@ -77,7 +69,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
 
 def _cmd_transform(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    ds, labels = load_csv(args.input, _label_col(args))
+    ds, labels = load_csv(args.input, args.label_col)
     prepared = prepare(ds, config)
     result, partition, report = run_osd(prepared, config)
     if args.out_data:
@@ -96,7 +88,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    ds, labels = load_csv(args.input, _label_col(args))
+    ds, labels = load_csv(args.input, args.label_col)
     if labels is None:
         raise DataError("eval requires --label-col")
     prepared = prepare(ds, config)

@@ -18,7 +18,9 @@ from .errors import DataError
 __all__ = ["Dataset", "Labels", "load_csv", "min_max_normalize"]
 
 
-@dataclass(frozen=True)
+# eq=False on the array holders: equality and hashing go by identity, as
+# knngraph shares graphs per instance, never by content.
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """N points in R^d, stored as a read-only (N, d) float64 array."""
 
@@ -51,7 +53,7 @@ class Dataset:
         return float(np.sqrt(np.sum(span * span)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Labels:
     """Binary outlier marks aligned to dataset rows (1 = outlier)."""
 
@@ -91,7 +93,8 @@ def load_csv(
 
     A header row is assumed present iff the first row contains any
     non-numeric cell.  ``label_column`` selects labels by header name or by
-    0-based column index; selecting by name requires a header.
+    0-based column index (an int or a numeric string); selecting by name
+    requires a header.
     """
     path = Path(path)
     if not path.exists():
@@ -121,7 +124,10 @@ def load_csv(
                 raise DataError(f"label column {label_column!r} not found in header")
             label_idx = header.index(label_column)
         else:
-            label_idx = int(label_column)
+            index = float(label_column)
+            if not index.is_integer():
+                raise DataError(f"label column index {label_column!r} is not an integer")
+            label_idx = int(index)
             if not 0 <= label_idx < width:
                 raise DataError(f"label column index {label_idx} out of range")
 

@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError
 from .knngraph import build
 
 __all__ = ["lof_scores", "iforest_scores", "knn_dist_scores"]
@@ -25,12 +24,9 @@ def lof_scores(ds: Dataset, n_neighbors: int = 20) -> np.ndarray:
     max(kdist(b), d(a, b)), local reachability density lrd(a) =
     1 / mean_b reach(a, b), score(a) = mean_b lrd(b) / lrd(a).
     Mean reachability is floored at 1e-12 of the dataset diameter so
-    coincident duplicates cannot produce infinities.
+    coincident duplicates cannot produce infinities.  build checks that
+    1 <= n_neighbors <= N-1.
     """
-    if not 1 <= n_neighbors <= ds.count - 1:
-        raise ConfigError(
-            f"n_neighbors must be in [1, {ds.count - 1}], got {n_neighbors}"
-        )
     g = build(ds, n_neighbors)
     idx = g.neighbor_idx
     dist = g.neighbor_dist
@@ -46,8 +42,6 @@ def lof_scores(ds: Dataset, n_neighbors: int = 20) -> np.ndarray:
 
 def knn_dist_scores(ds: Dataset, k: int) -> np.ndarray:
     """Distance to the k-th nearest neighbor, the simplest global baseline."""
-    if not 1 <= k <= ds.count - 1:
-        raise ConfigError(f"k must be in [1, {ds.count - 1}], got {k}")
     return build(ds, k).neighbor_dist[:, -1].copy()
 
 

@@ -11,8 +11,6 @@ function works on all blocks at once: positions are (B, d) arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .blocks import BlockPartition
@@ -21,7 +19,6 @@ from .errors import ConfigError
 from .knngraph import KnnGraph
 
 __all__ = [
-    "ExplosionParams",
     "centroids",
     "bomb_position",
     "constant_g",
@@ -30,32 +27,10 @@ __all__ = [
     "explode",
 ]
 
+# Sign conventions of the displacement law (see displacement) and of the
+# repulsion force (see repulsion.repulsive_force); "corrected" is the default.
 SIGN_MODES = ("corrected", "literal")
 DIRECTION_MODES = ("corrected", "literal")
-
-
-@dataclass(frozen=True)
-class ExplosionParams:
-    """Knobs for the explosion and repulsion passes.
-
-    sign_mode controls how the componentwise square in the displacement
-    law treats signs: "corrected" (default) keeps each component's sign so
-    blocks move away from the bomb; "literal" squares verbatim, discarding
-    signs.  direction_mode plays the same role for the repulsion force
-    orientation.
-    """
-
-    T: float = 1.0
-    sign_mode: str = "corrected"
-    direction_mode: str = "corrected"
-
-    def __post_init__(self) -> None:
-        if self.T <= 0:
-            raise ConfigError(f"T must be positive, got {self.T}")
-        if self.sign_mode not in SIGN_MODES:
-            raise ConfigError(f"sign_mode must be one of {SIGN_MODES}")
-        if self.direction_mode not in DIRECTION_MODES:
-            raise ConfigError(f"direction_mode must be one of {DIRECTION_MODES}")
 
 
 def _epsilon(ds: Dataset) -> float:
@@ -82,7 +57,7 @@ def bomb_position(positions: np.ndarray) -> np.ndarray:
     return positions.mean(axis=0)
 
 
-def constant_g(ds: Dataset, g: KnnGraph) -> float:
+def constant_g(g: KnnGraph) -> float:
     """Force-scale constant: mean k-th-nearest-neighbor distance."""
     return float(g.neighbor_dist[:, -1].mean())
 
@@ -119,14 +94,16 @@ def displacement(
 def explode(
     ds: Dataset,
     partition: BlockPartition,
-    params: ExplosionParams,
     g_const: float,
+    T: float = 1.0,
+    sign_mode: str = "corrected",
     theta: np.ndarray | None = None,
 ) -> tuple[Dataset, np.ndarray]:
     """Translate every block by its displacement.
 
     Returns the moved dataset and the (B, d) moved centroids.  g_const is
-    the force scale (run_osd passes constant_g, or 1 when that is 0);
+    the force scale (run_osd passes constant_g, or 1 when that is 0); T
+    and sign_mode are the displacement law's duration and sign convention;
     theta overrides the bomb position (used by the random-bomb ablation).
     Masses and within-block geometry are preserved exactly.
     """
@@ -134,5 +111,5 @@ def explode(
     if theta is None:
         theta = bomb_position(positions)
     f = shock_force(positions, theta, g_const, _epsilon(ds))
-    s = displacement(f, params.T, partition.masses[:, None], params.sign_mode)
+    s = displacement(f, T, partition.masses[:, None], sign_mode)
     return Dataset(ds.points + s[partition.assignment]), positions + s

@@ -35,7 +35,7 @@ _TIE_RTOL = 1e-12
 _BLOCK_ROWS = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnnGraph:
     """k-NN graph: per-object ordered neighbor lists plus undirected edges.
 

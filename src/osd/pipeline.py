@@ -29,7 +29,7 @@ from . import detectors
 from .blocks import BlockPartition, divide, find_inflection, weight_histogram
 from .dataset import Dataset, Labels, min_max_normalize
 from .errors import ConfigError, DataError
-from .explosion import ExplosionParams, constant_g, explode
+from .explosion import DIRECTION_MODES, SIGN_MODES, constant_g, explode
 from .knngraph import build
 from .metrics import evaluate_scores
 from .repulsion import find_invalid_neighbors, repel
@@ -42,13 +42,17 @@ DETECTOR_NAMES = ("lof", "iforest", "knn")
 REPORT_SCHEMA_VERSION = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs; seed covers every stochastic component."""
+    """Every run setting, checked when built; seed covers every random draw.
+
+    threshold, when set, is the pruning weight itself and skips knee
+    detection; -inf keeps every edge and +inf prunes them all.
+    """
 
     k: int | None = None  # default resolves to min(10, N-1)
     T: float = 1.0
-    threshold: float | None = None  # knee override
+    threshold: float | None = None
     sign_mode: str = "corrected"
     direction_mode: str = "corrected"
     normalize: bool = True
@@ -57,7 +61,16 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.explosion_params()  # raises ConfigError on a bad T or mode
+        if self.k is not None and self.k < 1:
+            raise ConfigError(f"k must be at least 1, got {self.k}")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ConfigError(f"T must be positive and finite, got {self.T}")
+        if self.threshold is not None and math.isnan(self.threshold):
+            raise ConfigError("threshold must not be NaN")
+        if self.sign_mode not in SIGN_MODES:
+            raise ConfigError(f"sign_mode must be one of {SIGN_MODES}")
+        if self.direction_mode not in DIRECTION_MODES:
+            raise ConfigError(f"direction_mode must be one of {DIRECTION_MODES}")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"ablation must be one of {ABLATIONS}")
         for name in self.detectors:
@@ -66,11 +79,6 @@ class RunConfig:
 
     def resolve_k(self, n: int) -> int:
         return self.k if self.k is not None else min(10, n - 1)
-
-    def explosion_params(self) -> ExplosionParams:
-        return ExplosionParams(
-            T=self.T, sign_mode=self.sign_mode, direction_mode=self.direction_mode
-        )
 
 
 def _config_record(config: RunConfig) -> dict[str, Any]:
@@ -84,7 +92,7 @@ class RunReport:
     A field left at its default (None, empty) means its stage did not run:
     evaluate() on its own fills only config, detector_results and timings.
     threshold and knee_bin are also None under the no-division ablation,
-    and knee_bin when the threshold was overridden.  timings holds
+    and knee_bin when config.threshold was set.  timings holds
     wall-clock seconds per transform stage and per detector.
     """
 
@@ -151,25 +159,26 @@ def run_osd(
         partition = divide(graph, math.inf)  # prunes everything: all singletons
         threshold = knee_bin = None
     else:
-        hist = weight_histogram(graph)
-        knee = find_inflection(hist, override=config.threshold)
-        partition = divide(graph, knee.threshold)
-        threshold, knee_bin = knee.threshold, knee.knee_bin
-        if knee.too_coarse:
-            warnings.append("histogram too coarse for knee detection; nothing pruned")
+        if config.threshold is not None:
+            threshold, knee_bin = float(config.threshold), None
+        else:
+            knee = find_inflection(weight_histogram(graph))
+            threshold, knee_bin = knee.threshold, knee.knee_bin
+            if knee_bin is None:
+                warnings.append("histogram too coarse for knee detection; nothing pruned")
+        partition = divide(graph, threshold)
     timings["division"] = clock() - t0
 
     t0 = clock()
-    g_const = constant_g(ds, graph)
+    g_const = constant_g(graph)
     if g_const <= 0.0:
         warnings.append("degenerate scale: G = 0, substituting G = 1")
         g_const = 1.0
-    params = config.explosion_params()
     theta = None
     if config.ablation == "random-bomb":
         rng = np.random.default_rng(config.seed)
         theta = rng.uniform(ds.points.min(axis=0), ds.points.max(axis=0))
-    exploded, _ = explode(ds, partition, params, g_const, theta=theta)
+    exploded, _ = explode(ds, partition, g_const, config.T, config.sign_mode, theta)
     timings["explosion"] = clock() - t0
 
     t0 = clock()
@@ -179,7 +188,9 @@ def run_osd(
     else:
         invalid = find_invalid_neighbors(graph, exploded, partition)
         n_invalid_pairs = len(invalid)
-        result = repel(exploded, partition, invalid, params)
+        result = repel(
+            exploded, partition, invalid, config.sign_mode, config.direction_mode
+        )
     timings["repulsion"] = clock() - t0
 
     report = RunReport(
@@ -205,9 +216,7 @@ def _run_detector(name: str, ds: Dataset, config: RunConfig) -> np.ndarray:
         return detectors.lof_scores(ds, min(20, n - 1))
     if name == "iforest":
         return detectors.iforest_scores(ds, seed=config.seed)
-    if name == "knn":
-        return detectors.knn_dist_scores(ds, config.resolve_k(n))
-    raise ConfigError(f"unknown detector {name!r}")
+    return detectors.knn_dist_scores(ds, config.resolve_k(n))  # "knn"
 
 
 def evaluate(

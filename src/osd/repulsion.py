@@ -15,13 +15,7 @@ import numpy as np
 from .blocks import BlockPartition
 from .dataset import Dataset
 from .errors import ConfigError
-from .explosion import (
-    DIRECTION_MODES,
-    ExplosionParams,
-    _epsilon,
-    _inverse_distance,
-    displacement,
-)
+from .explosion import DIRECTION_MODES, _epsilon, _inverse_distance, displacement
 from .knngraph import KnnGraph, build
 
 __all__ = ["find_invalid_neighbors", "repulsive_force", "repel"]
@@ -69,7 +63,8 @@ def repel(
     exploded_ds: Dataset,
     partition: BlockPartition,
     pairs: np.ndarray,
-    params: ExplosionParams,
+    sign_mode: str = "corrected",
+    direction_mode: str = "corrected",
 ) -> Dataset:
     """Apply one repulsive translation per block; identity if pairs is empty.
 
@@ -81,12 +76,10 @@ def repel(
     pts = exploded_ds.points
     a = partition.assignment
     g_idx, p_idx = pairs[:, 0], pairs[:, 1]
-    f = repulsive_force(
-        pts[g_idx], pts[p_idx], params.direction_mode, _epsilon(exploded_ds)
-    )
+    f = repulsive_force(pts[g_idx], pts[p_idx], direction_mode, _epsilon(exploded_ds))
     total = np.zeros((partition.n_blocks, exploded_ds.dim))
     np.add.at(total, a[g_idx], f)
-    shift = displacement(total, 1.0, partition.masses[:, None], params.sign_mode)
+    shift = displacement(total, 1.0, partition.masses[:, None], sign_mode)
     rows = total.any(axis=1)[a]
     new_pts = pts.copy()
     new_pts[rows] += shift[a[rows]]

@@ -130,6 +130,13 @@ def histogram_recount(weights: np.ndarray, bin_edges: np.ndarray) -> np.ndarray:
     return counts
 
 
+def blocks_of(partition) -> list[np.ndarray]:
+    """Each block's member indices, ascending, in block-id order."""
+    return [
+        np.flatnonzero(partition.assignment == b) for b in range(partition.n_blocks)
+    ]
+
+
 def knn_rows_oracle(
     pts: np.ndarray, rows: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,6 @@ from scipy.spatial.distance import cdist
 from osd.blocks import divide, find_inflection, weight_histogram
 from osd.dataset import Dataset, Labels
 from osd.explosion import (
-    ExplosionParams,
     bomb_position,
     constant_g,
     displacement,
@@ -26,7 +25,7 @@ from osd.pipeline import RunConfig, evaluate, prepare, run_osd
 from osd.repulsion import find_invalid_neighbors, repel
 from osd.synth import gen_clusters_outliers, gen_imbalance_series
 
-from oracles import ap_oracle, auc_pairs_oracle, knn_oracle
+from oracles import ap_oracle, auc_pairs_oracle, blocks_of, knn_oracle
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -108,7 +107,7 @@ def test_criterion_05_block_statistics_over_100_seeds():
         part = divide(g, find_inflection(weight_histogram(g)).threshold)
         fl = labels.flags
         pure_out, pure_norm = [], []
-        for b, members in enumerate(part.blocks):
+        for b, members in enumerate(blocks_of(part)):
             s = int(fl[members].sum())
             if s == len(members):
                 pure_out.append(int(part.masses[b]))
@@ -131,7 +130,7 @@ def test_criterion_06_light_blocks_fly_farther_and_small_blocks_separate():
     ds = Dataset(np.vstack([heavy, light]))
     g = build(ds, 2)
     part = divide(g, -1.0)
-    moved, _ = explode(ds, part, ExplosionParams(), g_const=constant_g(ds, g))
+    moved, _ = explode(ds, part, g_const=constant_g(g))
     theta = np.zeros(2)
     d_light = np.linalg.norm(moved.points[20] - theta)
     d_heavy = np.linalg.norm(moved.points[:20].mean(axis=0) - theta)
@@ -144,7 +143,7 @@ def test_criterion_06_light_blocks_fly_farther_and_small_blocks_separate():
     g2 = build(ds2, 1)
     part2 = divide(g2, -1.0)
     sep_before = np.linalg.norm(pts[20] - pts[21])
-    moved2, _ = explode(ds2, part2, ExplosionParams(), g_const=constant_g(ds2, g2))
+    moved2, _ = explode(ds2, part2, g_const=constant_g(g2))
     sep_after = np.linalg.norm(moved2.points[20] - moved2.points[21])
     ok &= sep_after > sep_before
     _report(6, bool(ok),
@@ -226,10 +225,9 @@ def test_criterion_10_threshold_robustness():
     ratios = []
     for threshold in (lo, (lo + hi) / 2, hi):
         part = divide(g, threshold)
-        params = ExplosionParams()
-        exploded, _ = explode(prepared, part, params, g_const=constant_g(prepared, g))
+        exploded, _ = explode(prepared, part, g_const=constant_g(g))
         inv = find_invalid_neighbors(g, exploded, part)
-        out = repel(exploded, part, inv, params)
+        out = repel(exploded, part, inv)
         ratios.append(cdist(out.points[o], out.points[n]).min() / before)
     ok = all(r > 1.0 for r in ratios)
     _report(10, ok, f"min-distance ratios across knee region {np.round(ratios, 3)}")

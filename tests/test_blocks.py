@@ -14,7 +14,7 @@ from osd.dataset import Dataset
 from osd.errors import DataError
 from osd.knngraph import KnnGraph, build
 
-from oracles import flood_fill_components, histogram_recount
+from oracles import blocks_of, flood_fill_components, histogram_recount
 
 
 def _graph_with_weights(n_objects: int, weights: list[float]) -> KnnGraph:
@@ -34,15 +34,15 @@ def test_histogram_uniform_weights_arithmetic():
     # 10 edges at -1..-10 among 100 objects: width 9*10/100, one per bin
     g = _graph_with_weights(100, [-float(i) for i in range(1, 11)])
     h = weight_histogram(g)
-    assert h.bin_width == pytest.approx(0.9)
-    assert h.n_bins == 10
+    np.testing.assert_allclose(np.diff(h.bin_edges), 0.9)
+    assert len(h.probs) == 10
     np.testing.assert_allclose(h.probs, 0.01)
 
 
 def test_histogram_degenerate_all_equal():
     g = _graph_with_weights(30, [-2.0] * 7)
     h = weight_histogram(g)
-    assert h.n_bins == 2
+    assert len(h.probs) == 2
     assert h.probs.tolist() == [0.0, 7 / 30]
     assert h.bin_edges[1] == -2.0  # the shared weight sits in the closed bin
 
@@ -77,7 +77,7 @@ def test_histogram_requires_edges():
 
 def _hist_from_probs(probs: list[float]) -> WeightHistogram:
     edges = -10.0 + np.arange(len(probs) + 1, dtype=float)
-    return WeightHistogram(edges, np.array(probs), 1.0)
+    return WeightHistogram(edges, np.array(probs))
 
 
 def test_inflection_flat_curve_falls_back_to_first_interior_bin():
@@ -101,16 +101,11 @@ def test_inflection_two_regime_curve():
     assert res.threshold == h.bin_edges[3]
 
 
-def test_inflection_override_passthrough():
-    h = _hist_from_probs([0.1, 0.4, 0.2])
-    assert find_inflection(h, override=-0.7).threshold == -0.7
-
-
 def test_inflection_too_few_bins_prunes_nothing():
-    h = WeightHistogram(np.array([-3.0, -2.0, -1.0]), np.array([0.1, 0.5]), 1.0)
+    h = WeightHistogram(np.array([-3.0, -2.0, -1.0]), np.array([0.1, 0.5]))
     res = find_inflection(h)
     assert res.threshold == -3.0
-    assert res.too_coarse
+    assert res.knee_bin is None
 
 
 def test_inflection_ignores_post_peak_curvature():
@@ -165,7 +160,7 @@ def test_divide_matches_flood_fill_oracle():
     comps = flood_fill_components(60, kept)
     assert part.n_blocks == len(comps)
     oracle_sets = {frozenset(c) for c in comps}
-    ours = {frozenset(map(int, b)) for b in part.blocks}
+    ours = {frozenset(map(int, b)) for b in blocks_of(part)}
     assert ours == oracle_sets
 
 
@@ -175,7 +170,7 @@ def test_partition_is_total_and_consistent():
     g = build(ds, 4)
     part = divide(g, np.quantile(g.edge_weights, 0.2))
     seen = np.zeros(50, dtype=int)
-    for b, members in enumerate(part.blocks):
+    for b, members in enumerate(blocks_of(part)):
         assert len(members) == part.masses[b] >= 1
         for i in members:
             seen[i] += 1
@@ -189,7 +184,7 @@ def test_block_ids_ordered_by_smallest_member():
     ds = Dataset(rng.normal(size=(30, 2)))
     g = build(ds, 3)
     part = divide(g, np.quantile(g.edge_weights, 0.3))
-    firsts = [int(b.min()) for b in part.blocks]
+    firsts = [int(b.min()) for b in blocks_of(part)]
     assert firsts == sorted(firsts)
 
 
@@ -215,7 +210,7 @@ def test_outlier_blocks_lighter_and_rarely_mixed():
         part = divide(g, find_inflection(weight_histogram(g)).threshold)
         fl = labels.flags
         pure_out, pure_norm = [], []
-        for b, members in enumerate(part.blocks):
+        for b, members in enumerate(blocks_of(part)):
             s = int(fl[members].sum())
             if s == len(members):
                 pure_out.append(int(part.masses[b]))

@@ -117,7 +117,17 @@ def test_bad_flag_value_exits_two(tmp_path):
 
 
 def test_bad_explosion_setting_exits_two_before_reading_input():
-    assert main(["transform", "--input", "/no/such.csv", "--T", "0"]) == 2
+    for flag, value in (("--T", "0"), ("--T", "nan"), ("--T", "inf"),
+                        ("--k", "0"), ("--threshold", "nan")):
+        assert main(["transform", "--input", "/no/such.csv", flag, value]) == 2
+
+
+def test_fractional_label_column_is_data_error(tmp_path, capsys):
+    data = _synth(tmp_path)
+    capsys.readouterr()
+    assert main(["transform", "--input", str(data), "--label-col", "1.5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
 
 
 def test_imbalance_synth(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,30 @@ def test_load_label_by_index_without_header(tmp_path):
     ds, labels = load_csv(f, 2)
     assert ds.dim == 2
     np.testing.assert_array_equal(labels.flags, [0, 1])
+
+
+def test_fractional_label_index_rejected(tmp_path):
+    f = tmp_path / "pts.csv"
+    f.write_text("1,2,0\n3,4,1\n")
+    for bad in ("1.5", 1.5, "nan"):
+        with pytest.raises(DataError, match="not an integer"):
+            load_csv(f, bad)
+    _, labels = load_csv(f, "2")  # a numeric string selects by index
+    np.testing.assert_array_equal(labels.flags, [0, 1])
+
+
+def test_array_holders_compare_by_identity():
+    from osd.blocks import divide, weight_histogram
+    from osd.knngraph import build
+
+    ds = Dataset(np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]))
+    g = build(ds, 1)
+    holders = (ds, Labels(np.array([0, 1, 0])), g, divide(g, -1.5),
+               weight_histogram(g))
+    for obj in holders:
+        assert obj == obj and hash(obj) == hash(obj)
+        assert obj != dataclasses.replace(obj)  # equal content, another object
+    assert len(set(holders)) == len(holders)
 
 
 def test_non_numeric_cell_names_row(tmp_path):

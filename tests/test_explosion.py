@@ -5,7 +5,6 @@ from osd.blocks import divide, find_inflection, weight_histogram
 from osd.dataset import Dataset
 from osd.errors import ConfigError
 from osd.explosion import (
-    ExplosionParams,
     bomb_position,
     centroids,
     constant_g,
@@ -14,8 +13,9 @@ from osd.explosion import (
     shock_force,
 )
 from osd.knngraph import build
+from osd.pipeline import RunConfig
 
-from oracles import knn_oracle
+from oracles import blocks_of, knn_oracle
 
 COLLINEAR = Dataset(np.array([[1.0, 0, 0], [2, 0, 0], [3, 0, 0], [4, 0, 0]]))
 
@@ -59,7 +59,7 @@ def test_centroids_equal_member_means_exactly():
     g = build(ds, 4)
     part = divide(g, np.quantile(g.edge_weights, 0.2))
     positions = centroids(ds, part)
-    for b, members in enumerate(part.blocks):
+    for b, members in enumerate(blocks_of(part)):
         np.testing.assert_array_equal(positions[b], ds.points[members].mean(axis=0))
 
 
@@ -115,12 +115,12 @@ def test_constant_g_on_collinear_points():
     g = build(COLLINEAR, 2)
     _, dist = knn_oracle(COLLINEAR.points, 2)
     assert dist[:, -1].tolist() == [2.0, 1.0, 1.0, 2.0]
-    assert constant_g(COLLINEAR, g) == pytest.approx(1.5)
+    assert constant_g(g) == pytest.approx(1.5)
 
 
 def test_constant_g_zero_for_coincident_points():
     ds = Dataset(np.zeros((5, 2)))
-    assert constant_g(ds, build(ds, 2)) == 0.0
+    assert constant_g(build(ds, 2)) == 0.0
 
 
 def test_constant_g_matches_oracle_on_random_data():
@@ -128,7 +128,7 @@ def test_constant_g_matches_oracle_on_random_data():
     ds = Dataset(rng.normal(size=(40, 4)))
     g = build(ds, 7)
     _, dist = knn_oracle(ds.points, 7)
-    assert constant_g(ds, g) == pytest.approx(dist[:, -1].mean(), rel=1e-12)
+    assert constant_g(g) == pytest.approx(dist[:, -1].mean(), rel=1e-12)
 
 
 def test_displacement_golden_all_positive_force():
@@ -160,9 +160,9 @@ def test_displacement_inverse_mass_square():
 
 def test_params_validation():
     with pytest.raises(ConfigError):
-        ExplosionParams(T=0.0)
+        RunConfig(T=0.0)
     with pytest.raises(ConfigError):
-        ExplosionParams(sign_mode="bogus")
+        RunConfig(sign_mode="bogus")
     with pytest.raises(ConfigError):
         displacement(np.ones(2), 1.0, 1, "bogus")
 
@@ -184,7 +184,7 @@ def test_explode_single_block_is_fixed_point():
     g = build(ds, 3)
     part = divide(g, -np.inf)
     assert part.n_blocks == 1
-    moved, _ = explode(ds, part, ExplosionParams(), g_const=constant_g(ds, g))
+    moved, _ = explode(ds, part, g_const=constant_g(g))
     np.testing.assert_array_equal(moved.points, ds.points)
     assert part.masses[0] == 12
 
@@ -194,9 +194,9 @@ def test_explode_two_blocks_match_scalar_oracle():
     g = build(ds, 1)
     part = divide(g, -5.0)
     assert part.n_blocks == 2
-    g_const = constant_g(ds, g)  # mean 1st-neighbor distance = 1.0
+    g_const = constant_g(g)  # mean 1st-neighbor distance = 1.0
     assert g_const == 1.0
-    moved, _ = explode(ds, part, ExplosionParams(), g_const=g_const)
+    moved, _ = explode(ds, part, g_const=g_const)
     # theta = (5.5, 0); forces G/r toward each side; s = (G/r)^2 / M^2
     theta = np.array([5.5, 0.0])
     for block, members in ((0, [0, 1]), (1, [2, 3])):
@@ -215,9 +215,8 @@ def test_explode_rigid_translation_and_mass_conservation():
     ds, _ = gen_clusters_outliers(2, 40, 4, 2, 25.0, 11)
     g = build(ds, 5)
     part = divide(g, find_inflection(weight_histogram(g)).threshold)
-    params = ExplosionParams()
-    moved, moved_centroids = explode(ds, part, params, g_const=constant_g(ds, g))
-    for b, members in enumerate(part.blocks):
+    moved, moved_centroids = explode(ds, part, g_const=constant_g(g))
+    for b, members in enumerate(blocks_of(part)):
         before = ds.points[members]
         after = moved.points[members]
         if len(members) > 1:
@@ -234,7 +233,7 @@ def test_explode_random_bomb_override():
     g = build(ds, 1)
     part = divide(g, -5.0)
     theta = np.array([100.0, 0.0])
-    moved, _ = explode(ds, part, ExplosionParams(), g_const=1.0, theta=theta)
+    moved, _ = explode(ds, part, g_const=1.0, theta=theta)
     assert np.all(moved.points[:, 0] < ds.points[:, 0])  # all pushed away
 
 
@@ -261,7 +260,7 @@ def test_light_block_ends_farther_than_heavy_block():
     g = build(ds, 2)
     part = divide(g, -1.0)
     assert sorted(part.masses.tolist()) == [1, 20]
-    moved, _ = explode(ds, part, ExplosionParams(), g_const=constant_g(ds, g))
+    moved, _ = explode(ds, part, g_const=constant_g(g))
     theta = bomb_position(centroids(ds, part))
     d_light = np.linalg.norm(moved.points[20] - theta)
     d_heavy = np.linalg.norm(
@@ -281,6 +280,6 @@ def test_nearby_small_blocks_separate():
     part = divide(g, -0.9)
     assert part.n_blocks == 3
     before = np.linalg.norm(ds.points[0] - ds.points[1])
-    moved, _ = explode(ds, part, ExplosionParams(), g_const=2.0)
+    moved, _ = explode(ds, part, g_const=2.0)
     after = np.linalg.norm(moved.points[0] - moved.points[1])
     assert after > before

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import os
 import subprocess
@@ -34,3 +35,27 @@ def test_bench_wrap_sites_resolve(monkeypatch):
         module = importlib.import_module(module_name)
         for attr in attrs:
             assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_public_api_is_the_pipeline():
+    # Settings, data, run/evaluate, partitions, detectors, metrics and
+    # generators; each layer's functions stay in their own module.
+    assert set(osd.__all__) == {
+        "RunConfig", "ConfigError", "DataError",
+        "Dataset", "Labels", "load_csv", "min_max_normalize",
+        "prepare", "run_osd", "evaluate", "RunReport", "BlockPartition",
+        "lof_scores", "iforest_scores", "knn_dist_scores",
+        "EvalResult", "roc_auc", "average_precision", "evaluate_scores",
+        "gen_clusters_outliers", "gen_imbalance_series",
+    }
+    assert len(osd.__all__) == len(set(osd.__all__))
+    for name in osd.__all__:
+        assert getattr(osd, name, None) is not None, name
+    harness = Path(__file__).resolve().parents[1] / "bench" / "harness.py"
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(harness.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "osd"
+        for alias in node.names
+    }
+    assert imported and imported <= set(osd.__all__)

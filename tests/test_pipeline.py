@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from osd.blocks import divide
 from osd.dataset import Dataset, Labels
 from osd.errors import ConfigError, DataError
+from osd.knngraph import build
 from osd.pipeline import RunConfig, RunReport, evaluate, prepare, run_osd
 
 
@@ -36,9 +38,27 @@ def test_config_validation():
 
 
 def test_config_rejects_bad_explosion_settings_at_construction():
-    for bad in ({"T": 0}, {"sign_mode": "bogus"}, {"direction_mode": "x"}):
+    for bad in ({"T": 0}, {"sign_mode": "bogus"}, {"direction_mode": "x"},
+                {"k": 0}, {"k": -3}, {"T": np.nan}, {"T": np.inf},
+                {"T": -np.inf}, {"threshold": np.nan}):
         with pytest.raises(ConfigError):
             RunConfig(**bad)
+    for edge in (-np.inf, np.inf):  # keep every edge / prune every edge
+        assert RunConfig(threshold=edge).threshold == edge
+
+
+@pytest.mark.parametrize("t", [-0.7, np.float64(-1.5), -1, -np.inf, np.inf])
+def test_threshold_setting_skips_knee_detection(t):
+    ds, _ = ring_dataset(6)
+    config = RunConfig(k=5, threshold=t)
+    prepared = prepare(ds, config)
+    _, partition, report = run_osd(prepared, config)
+    assert report.threshold == float(t) and type(report.threshold) is float
+    assert report.knee_bin is None
+    assert report.warnings == []
+    expected = divide(build(Dataset(prepared.points), 5), t)
+    np.testing.assert_array_equal(partition.assignment, expected.assignment)
+    np.testing.assert_array_equal(partition.masses, expected.masses)
 
 
 def test_single_block_dataset_is_fixed_point():

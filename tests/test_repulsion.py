@@ -3,11 +3,11 @@ import pytest
 
 from osd.blocks import divide
 from osd.dataset import Dataset
-from osd.explosion import ExplosionParams, constant_g, displacement, explode
+from osd.explosion import constant_g, displacement, explode
 from osd.knngraph import build
 from osd.repulsion import find_invalid_neighbors, repel, repulsive_force
 
-from oracles import knn_oracle
+from oracles import blocks_of, knn_oracle
 
 # Catch-up scenario: a singleton block between two others, k = 2.
 # Before: objects 1-3 form one block, object 0 its own block, and 0's two
@@ -56,7 +56,7 @@ def test_invalid_neighbors_match_definition_oracle():
     after = before + rng.normal(scale=0.6, size=before.shape)
     # rigid per block: use the block-mean shift so blocks stay rigid
     shifted = before.copy()
-    for members in part.blocks:
+    for members in blocks_of(part):
         shifted[members] += after[members].mean(axis=0) - before[members].mean(axis=0)
     moved = Dataset(shifted)
 
@@ -80,7 +80,7 @@ def test_invalid_neighbors_never_same_block():
     ds, _ = gen_clusters_outliers(2, 30, 5, 2, 25.0, 9)
     g = build(ds, 4)
     part = divide(g, np.quantile(g.edge_weights, 0.2))
-    moved, _ = explode(ds, part, ExplosionParams(), g_const=constant_g(ds, g))
+    moved, _ = explode(ds, part, g_const=constant_g(g))
     inv = find_invalid_neighbors(g, moved, part)
     for g_idx, p_idx in inv:
         assert part.assignment[g_idx] != part.assignment[p_idx]
@@ -113,7 +113,7 @@ def test_resultant_force_empty_and_singleton():
     ds, g, part = _scenario()
     moved = Dataset(SCENARIO_MOVED)
     inv = find_invalid_neighbors(g, moved, part)
-    out = repel(moved, part, inv, ExplosionParams())
+    out = repel(moved, part, inv)
     # the trio (block 1) has a zero resultant and stays put
     np.testing.assert_array_equal(out.points[1:], SCENARIO_MOVED[1:])
     single_force = repulsive_force(SCENARIO_MOVED[0], SCENARIO_MOVED[3], "corrected")
@@ -129,7 +129,7 @@ def test_resultant_force_sums_pairs():
     ds = Dataset(pts)
     part = divide(build(ds, 1), 1.0)  # all singletons
     inv = np.array([[0, 1], [0, 2], [0, 3]])
-    out = repel(ds, part, inv, ExplosionParams(direction_mode="literal"))
+    out = repel(ds, part, inv, direction_mode="literal")
     expected = np.zeros(2)
     for p in (1, 2, 3):
         diff = pts[p] - pts[0]
@@ -143,7 +143,7 @@ def test_resultant_force_sums_pairs():
 def test_repel_identity_without_invalid_neighbors():
     ds, g, part = _scenario()
     empty = np.empty((0, 2), dtype=np.int64)
-    out = repel(ds, part, empty, ExplosionParams())
+    out = repel(ds, part, empty)
     np.testing.assert_array_equal(out.points, ds.points)
 
 
@@ -158,8 +158,7 @@ def test_repel_applies_signed_squared_force():
     # force on block {0, 1}: (g - p)/|g - p|^2 = (-0.1, 0) corrected,
     # (0.1, 0) literal; translation = sign * force^2 / mass^2 with mass 2
     for mode, expect in (("corrected", -0.0025), ("literal", 0.0025)):
-        params = ExplosionParams(sign_mode=mode, direction_mode=mode)
-        out = repel(ds, part, inv, params)
+        out = repel(ds, part, inv, sign_mode=mode, direction_mode=mode)
         np.testing.assert_allclose(out.points[0], [0.0 + expect, 0.0], atol=1e-15)
         np.testing.assert_allclose(out.points[1], [0.5 + expect, 0.0], atol=1e-15)
         np.testing.assert_array_equal(out.points[2:], pts[2:])
@@ -176,17 +175,16 @@ def test_full_catch_up_run_separates_blocks():
     g = build(ds, 2)
     part = divide(g, -1.3)
     assert sorted(part.masses.tolist()) == [1, 3, 20]
-    params = ExplosionParams()
-    exploded, _ = explode(ds, part, params, g_const=constant_g(ds, g))
+    exploded, _ = explode(ds, part, g_const=constant_g(g))
     inv = find_invalid_neighbors(g, exploded, part)
     assert len(inv) > 0
-    repelled = repel(exploded, part, inv, params)
+    repelled = repel(exploded, part, inv)
     b_single = part.assignment[20]
     b_trio = part.assignment[21]
 
     def block_gap(data):
-        a = data.points[part.blocks[b_single]].mean(axis=0)
-        b = data.points[part.blocks[b_trio]].mean(axis=0)
+        a = data.points[blocks_of(part)[b_single]].mean(axis=0)
+        b = data.points[blocks_of(part)[b_trio]].mean(axis=0)
         return np.linalg.norm(a - b)
 
     assert block_gap(repelled) > block_gap(exploded)
@@ -206,10 +204,9 @@ def test_repulsion_never_shrinks_outlier_normal_distance():
         ds = min_max_normalize(ds)
         g = build(ds, 6)
         part = divide(g, find_inflection(weight_histogram(g)).threshold)
-        params = ExplosionParams()
-        exploded, _ = explode(ds, part, params, g_const=constant_g(ds, g))
+        exploded, _ = explode(ds, part, g_const=constant_g(g))
         inv = find_invalid_neighbors(g, exploded, part)
-        repelled = repel(exploded, part, inv, params)
+        repelled = repel(exploded, part, inv)
         acted += int(len(inv) > 0)
         o = labels.flags == 1
         n = labels.flags == 0
@@ -226,11 +223,10 @@ def test_repel_rigid_per_block():
     ds, _ = gen_clusters_outliers(2, 40, 6, 2, 20.0, 3)
     g = build(ds, 5)
     part = divide(g, np.quantile(g.edge_weights, 0.15))
-    params = ExplosionParams()
-    exploded, _ = explode(ds, part, params, g_const=constant_g(ds, g))
+    exploded, _ = explode(ds, part, g_const=constant_g(g))
     inv = find_invalid_neighbors(g, exploded, part)
-    repelled = repel(exploded, part, inv, params)
-    for members in part.blocks:
+    repelled = repel(exploded, part, inv)
+    for members in blocks_of(part):
         if len(members) < 2:
             continue
         before = np.linalg.norm(exploded.points[members[0]] - exploded.points[members[-1]])
