@@ -32,6 +32,8 @@ class Dataset:
             raise DataError(f"points must be a 2-d array, got shape {pts.shape}")
         if pts.shape[0] < 2:
             raise DataError("a dataset needs at least 2 objects")
+        if pts.shape[1] < 1:
+            raise DataError("a dataset needs at least 1 feature column")
         if not np.all(np.isfinite(pts)):
             bad = np.argwhere(~np.isfinite(pts))[0]
             raise DataError(f"non-finite value at row {bad[0]}, column {bad[1]}")

@@ -2,11 +2,14 @@
 
 Neighbor lists are exact: identical to brute-force all-pairs ranking under
 the tie rule "nondecreasing distance, equal distances by ascending object
-index".  One KD-tree query supplies k+2 candidates per row; every stored
-distance is recomputed with one canonical formula so results never depend
-on tree internals.  Candidates are ranked as whole arrays, in blocks of
-rows that bound the temporaries' memory, and a radius re-query resolves,
-row by row, only the ties that cross the k-th position.
+index".  Byte-identical rows are collapsed into distinct points first, and
+the KD-tree holds only those.  Each candidate point a row queries expands
+into at most k+1 of its lowest-index copies, all a k-list can use.  Every
+stored distance is recomputed with one canonical formula so results never
+depend on tree internals.  Candidates are ranked as whole arrays in row
+blocks that bound memory; rows whose k-th distance ties the candidate
+horizon query again, as blocks, with twice the candidates.  No row is
+re-ranked on its own, so duplicated rows cost linear time.
 
 Under that total order a k-list is a prefix of every longer list.  The
 graph built on a Dataset is therefore kept on that instance and serves
@@ -31,7 +34,7 @@ __all__ = ["KnnGraph", "build"]
 # cannot rule out; generous versus float64 rounding, tiny versus data.
 _TIE_RTOL = 1e-12
 
-# Rows ranked per block; caps the (rows, k+2, d) distance temporaries.
+# Rows per block at k+2 candidates of one copy each; wider lists get fewer.
 _BLOCK_ROWS = 4096
 
 
@@ -64,17 +67,6 @@ def _distances(point: np.ndarray, others: np.ndarray) -> np.ndarray:
     """Canonical Euclidean distance used everywhere in this module."""
     diff = others - point
     return np.sqrt(np.sum(diff * diff, axis=-1))
-
-
-def _rank_by_radius(
-    tree: cKDTree, pts: np.ndarray, i: int, radius: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """All non-self neighbors within radius, sorted by (distance, index)."""
-    cand = np.asarray(tree.query_ball_point(pts[i], radius * (1.0 + 1e-9)))
-    cand = cand[cand != i]
-    d = _distances(pts[i], pts[cand])
-    order = np.lexsort((cand, d))
-    return cand[order], d[order]
 
 
 def _graph(neighbor_idx: np.ndarray, neighbor_dist: np.ndarray) -> KnnGraph:
@@ -112,35 +104,43 @@ def build(ds: Dataset, k: int) -> KnnGraph:
         return _graph(kept.neighbor_idx[:, :k], kept.neighbor_dist[:, :k])
 
     pts = ds.points
-    tree = cKDTree(pts)
+    # Collapse byte-identical rows into distinct points, renumbered by first
+    # appearance (the tree answers row-ordered queries faster that way).
+    keys = pts.view(np.dtype((np.void, pts.itemsize * ds.dim))).ravel()
+    _, first, group, copies = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    by_first = np.argsort(first)
+    distinct, copies = pts[first[by_first]], copies[by_first]
+    # members[start[p] : start[p] + copies[p]] are point p's rows, ascending.
+    members = np.argsort(np.argsort(by_first)[group], kind="stable")
+    start = np.cumsum(copies) - copies
+    m, tree = len(distinct), cKDTree(distinct)
+    reps_max = min(k + 1, int(copies.max()))
 
-    # k+2 candidates: self, the k neighbors, and one sentinel whose distance
-    # tells us whether a tie could extend past what the query returned.
-    kq = min(n, k + 2)
-    _, cand = tree.query(pts, k=kq)
-    cand = cand.reshape(n, kq)
-
-    neighbor_idx = np.empty((n, k), dtype=np.int64)
-    neighbor_dist = np.empty((n, k), dtype=np.float64)
-    for lo in range(0, n, _BLOCK_ROWS):
-        rows = np.arange(lo, min(lo + _BLOCK_ROWS, n))
-        idx = cand[rows]
-        d = _distances(pts[rows, None], pts[idx])
-        # Self (absent when coincident duplicates displaced it) sorts last.
-        is_self = idx == rows[:, None]
-        order = np.lexsort((idx, d, is_self), axis=-1)
-        idx = np.take_along_axis(idx, order, axis=-1)
-        d = np.take_along_axis(d, order, axis=-1)
-        n_valid = kq - is_self.sum(axis=1)
-        horizon = d[np.arange(len(rows)), n_valid - 1]
-        neighbor_idx[rows] = idx[:, :k]
-        neighbor_dist[rows] = d[:, :k]
-        # A tie reaching the candidate horizon: re-rank everything in range.
-        tie = (n_valid > k) & (d[:, k - 1] >= horizon * (1.0 - _TIE_RTOL))
-        for i in rows[tie]:
-            idx_i, d_i = _rank_by_radius(tree, pts, i, neighbor_dist[i, k - 1])
-            neighbor_idx[i] = idx_i[:k]
-            neighbor_dist[i] = d_i[:k]
+    neighbor_idx, neighbor_dist = np.empty((n, k), np.int64), np.empty((n, k))
+    # First k+2 points: self, the k neighbors and a sentinel for the horizon.
+    todo, kq = np.arange(n), min(m, k + 2)
+    while todo.size:
+        step = max(1, _BLOCK_ROWS * (k + 2) // (kq * reps_max))
+        flagged = []
+        for lo in range(0, todo.size, step):
+            rows = todo[lo : lo + step]
+            cand = tree.query(pts[rows], k=kq)[1].reshape(len(rows), kq)
+            dp = _distances(pts[rows, None], distinct[cand])
+            # A list uses <= k+1 copies of a point; absent copies sort as inf.
+            nth = np.arange(min(k + 1, int(copies[cand].max())))
+            idx = members.take(start[cand][..., None] + nth, mode="clip")
+            d = np.where(nth < copies[cand][..., None], dp[..., None], np.inf)
+            idx, d = idx.reshape(len(rows), -1), d.reshape(len(rows), -1)
+            # Self sorts last, so it never enters a list.
+            order = np.lexsort((idx, d, idx == rows[:, None]), axis=-1)[:, :k]
+            neighbor_idx[rows] = np.take_along_axis(idx, order, axis=-1)
+            neighbor_dist[rows] = np.take_along_axis(d, order, axis=-1)
+            # A tie reaching the candidate horizon: widen, unless all is in.
+            tie = neighbor_dist[rows, -1] >= dp.max(axis=1) * (1.0 - _TIE_RTOL)
+            flagged.append(rows[tie & (kq < m)])
+        todo, kq = np.concatenate(flagged), min(m, 2 * kq)
 
     graph = _graph(neighbor_idx, neighbor_dist)
     # Dataset is frozen and its points read-only, so the graph stays valid.

@@ -20,6 +20,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+from numbers import Integral
 from pathlib import Path
 from typing import Any
 
@@ -61,8 +62,10 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.k is not None and self.k < 1:
-            raise ConfigError(f"k must be at least 1, got {self.k}")
+        if self.k is not None and not (isinstance(self.k, Integral) and self.k >= 1):
+            raise ConfigError(f"k must be an integer >= 1, got {self.k!r}")
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not (math.isfinite(self.T) and self.T > 0):
             raise ConfigError(f"T must be positive and finite, got {self.T}")
         if self.threshold is not None and math.isnan(self.threshold):
@@ -73,6 +76,8 @@ class RunConfig:
             raise ConfigError(f"direction_mode must be one of {DIRECTION_MODES}")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"ablation must be one of {ABLATIONS}")
+        if isinstance(self.detectors, str):
+            raise ConfigError(f"detectors must be a tuple of names: {self.detectors!r}")
         for name in self.detectors:
             if name not in DETECTOR_NAMES:
                 raise ConfigError(f"unknown detector {name!r}")

@@ -6,6 +6,8 @@ a pure function of its seed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .dataset import Dataset, Labels
@@ -70,10 +72,10 @@ def gen_clusters_outliers(
     separation/4 of any center.  Rows are ordered cluster by cluster with
     outliers last; labels mark outliers with 1.
     """
-    if n_clusters < 1 or pts_per_cluster < 1 or n_outliers < 0:
-        raise ConfigError("counts must be positive (outliers may be 0)")
-    if separation <= 0:
-        raise ConfigError(f"separation must be positive, got {separation}")
+    if n_clusters < 1 or pts_per_cluster < 1 or n_outliers < 0 or dim < 1:
+        raise ConfigError("counts and dim must be positive (outliers may be 0)")
+    if not (math.isfinite(separation) and separation > 0):
+        raise ConfigError(f"separation must be positive and finite, got {separation}")
     rng = np.random.default_rng(seed)
     centers = _place_centers(rng, n_clusters, dim, separation)
     clusters = [
@@ -110,9 +112,11 @@ def gen_imbalance_series(
     rejected within 5 spreads of either center.  One derived seed per
     level keeps every dataset reproducible independently of the others.
     """
+    if pts_per_cluster < 1 or dim < 1:
+        raise ConfigError("pts_per_cluster and dim must be positive")
     for lv in levels:
-        if lv < 1:
-            raise ConfigError(f"imbalance level must be >= 1, got {lv}")
+        if not (math.isfinite(lv) and lv >= 1):
+            raise ConfigError(f"imbalance level must be finite and >= 1, got {lv}")
     out: list[tuple[Dataset, Labels]] = []
     for lv, child in zip(levels, np.random.SeedSequence(seed).spawn(len(levels))):
         rng = np.random.default_rng(child)

@@ -118,8 +118,24 @@ def test_bad_flag_value_exits_two(tmp_path):
 
 def test_bad_explosion_setting_exits_two_before_reading_input():
     for flag, value in (("--T", "0"), ("--T", "nan"), ("--T", "inf"),
-                        ("--k", "0"), ("--threshold", "nan")):
+                        ("--k", "0"), ("--threshold", "nan"), ("--seed", "-1")):
         assert main(["transform", "--input", "/no/such.csv", flag, value]) == 2
+
+
+def test_bad_synth_setting_exits_two(tmp_path):
+    out = str(tmp_path / "never.csv")
+    for flag, value in (("--dim", "0"), ("--dim", "-2"), ("--separation", "nan"),
+                        ("--separation", "inf"), ("--imbalance-level", "nan"),
+                        ("--imbalance-level", "inf")):
+        assert main(["synth", flag, value, "--out", out]) == 2
+    assert main(["synth", "--imbalance-level", "4", "--dim", "0", "--out", out]) == 2
+
+
+def test_label_only_csv_is_data_error(tmp_path, capsys):
+    f = tmp_path / "lab.csv"
+    f.write_text("label\n0\n1\n0\n")
+    assert main(["transform", "--input", str(f), "--label-col", "label"]) == 3
+    assert capsys.readouterr().err.startswith("data error:")
 
 
 def test_fractional_label_column_is_data_error(tmp_path, capsys):

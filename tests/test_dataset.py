@@ -91,6 +91,15 @@ def test_dataset_rejects_nan_and_single_row():
         Dataset(np.array([[1.0, 2.0]]))
 
 
+def test_dataset_rejects_zero_feature_columns(tmp_path):
+    with pytest.raises(DataError, match="feature column"):
+        Dataset(np.empty((3, 0)))
+    f = tmp_path / "labels.csv"
+    f.write_text("label\n0\n1\n0\n")
+    with pytest.raises(DataError, match="feature column"):
+        load_csv(f, "label")
+
+
 def test_dataset_points_are_read_only():
     ds = Dataset(np.zeros((2, 2)))
     with pytest.raises(ValueError):

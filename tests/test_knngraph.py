@@ -137,6 +137,49 @@ def test_exact_at_scale_with_ties_across_row_blocks(k):
     np.testing.assert_array_equal(g.neighbor_dist[rows], dist)
 
 
+def _assert_rows_exact(g, pts, rows):
+    idx, dist = knn_rows_oracle(pts, rows, g.k)
+    np.testing.assert_array_equal(g.neighbor_idx[rows], idx)
+    np.testing.assert_array_equal(g.neighbor_dist[rows], dist)
+
+
+def test_all_zero_rows_rank_by_index_even_when_self_is_a_late_copy():
+    pts = np.zeros((20_000, 2))
+    g = build(Dataset(pts), 10)
+    # Self is among the first k+1 copies only for rows 0..10.
+    _assert_rows_exact(g, pts, np.array([0, 9, 10, 11, 4095, 4096, 12_345, 19_999]))
+
+
+def test_signed_zeros_are_equal_values_with_different_bytes():
+    rng = np.random.default_rng(11)
+    pts = rng.choice(np.array([0.0, -0.0, 1.0]), size=(40, 2))
+    assert len(np.unique(pts.view(np.int64), axis=0)) > len(np.unique(pts, axis=0))
+    for k in (1, 5, 20, 39):
+        g = build(Dataset(pts), k)
+        idx, dist = knn_oracle(pts, k)
+        np.testing.assert_array_equal(g.neighbor_idx, idx)
+        np.testing.assert_array_equal(g.neighbor_dist, dist)
+
+
+@pytest.mark.parametrize("k", [1, 10, 20])
+def test_heavy_point_and_interleaved_copies_of_equidistant_points(k):
+    # H = (0, 0) has 3000 copies.  A = (3, 4) and B = (-4, 3) are each
+    # exactly 5 from both H and P = (-1, 7), and P is 5 from both A and B.
+    # Shuffling interleaves the tied points' copies by index.
+    rng = np.random.default_rng(12)
+    tied = [([0.0, 0.0], 3000), ([3.0, 4.0], 15), ([-4.0, 3.0], 15),
+            ([-1.0, 7.0], 2)]
+    pts = np.vstack([rng.normal(20.0, 3.0, size=(6000, 2))]
+                    + [np.tile(p, (c, 1)) for p, c in tied])
+    pts = pts[rng.permutation(len(pts))]
+    g = build(Dataset(pts), k)
+    rows_of = [np.flatnonzero(np.all(pts == p, axis=1)) for p, _ in tied]
+    boundary = [b + s for b in (4096, 8192) for s in (-2, -1, 0, 1)]
+    rows = np.r_[boundary, rows_of[0][: k + 2], rows_of[0][-1], *rows_of[1:],
+                 rng.choice(len(pts), 40)]
+    _assert_rows_exact(g, pts, np.unique(rows))
+
+
 def _assert_same_graph(a, b):
     assert a.k == b.k
     for name in GRAPH_ARRAYS:
@@ -171,6 +214,9 @@ def test_smaller_k_after_larger_equals_fresh_build(case, scale):
     build(ds, max(k_a, k_b))
     _assert_same_graph(build(ds, min(k_a, k_b)), build(Dataset(pts), min(k_a, k_b)))
     _assert_same_graph(build(ds, k_a), build(Dataset(pts), k_a))
+    g, (idx, dist) = build(ds, k_a), knn_oracle(pts, k_a)
+    np.testing.assert_array_equal(g.neighbor_idx, idx)
+    np.testing.assert_array_equal(g.neighbor_dist, dist)
 
 
 def test_graph_shared_per_instance_never_by_content():

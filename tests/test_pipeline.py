@@ -40,7 +40,8 @@ def test_config_validation():
 def test_config_rejects_bad_explosion_settings_at_construction():
     for bad in ({"T": 0}, {"sign_mode": "bogus"}, {"direction_mode": "x"},
                 {"k": 0}, {"k": -3}, {"T": np.nan}, {"T": np.inf},
-                {"T": -np.inf}, {"threshold": np.nan}):
+                {"T": -np.inf}, {"threshold": np.nan}, {"k": 2.5}, {"k": "3"},
+                {"seed": -1}, {"seed": 1.5}, {"detectors": "lof"}):
         with pytest.raises(ConfigError):
             RunConfig(**bad)
     for edge in (-np.inf, np.inf):  # keep every edge / prune every edge

@@ -68,6 +68,19 @@ def test_parameter_validation():
         gen_clusters_outliers(2, 10, 0, 2, -1.0, 0)
     with pytest.raises(ConfigError):
         gen_imbalance_series([0.5], 0)
+    for dim in (0, -2):
+        with pytest.raises(ConfigError):
+            gen_clusters_outliers(2, 10, 1, dim, 10.0, 0)
+        with pytest.raises(ConfigError):
+            gen_imbalance_series([2.0], 0, dim=dim)
+    for bad in (np.nan, np.inf, -np.inf, 0.0):
+        with pytest.raises(ConfigError):
+            gen_clusters_outliers(2, 10, 1, 2, bad, 0)
+        with pytest.raises(ConfigError):
+            gen_imbalance_series([bad], 0)
+    for size in (0, -1):
+        with pytest.raises(ConfigError):
+            gen_imbalance_series([2.0], 0, pts_per_cluster=size)
 
 
 def test_imbalance_level_one_equal_spreads():
