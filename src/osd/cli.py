@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .dataset import load_csv
 from .errors import ConfigError, DataError
@@ -162,6 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("out_report", "out_data", "dump_blocks", "out_metrics", "out"):
+            out = getattr(args, flag, None)
+            if out and not Path(out).parent.is_dir():  # fail before any work is done
+                raise ConfigError(f"no directory for --{flag.replace('_', '-')} {out}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -102,7 +102,9 @@ def load_csv(
     if not path.exists():
         raise DataError(f"no such file: {path}")
 
-    with path.open(newline="") as fh:
+    # utf-8-sig drops the byte-order mark some spreadsheet exports write, which
+    # would otherwise make the first cell non-numeric and the first row a header.
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise DataError(f"empty file: {path}")

@@ -50,73 +50,60 @@ def knn_dist_scores(ds: Dataset, k: int) -> np.ndarray:
 _N_TREES = 100
 _SUBSAMPLE = 256  # points per tree, capped at N
 
-_HARMONIC_CACHE = [0.0]  # _HARMONIC_CACHE[m] == sum(1/i for i in 1..m)
 
+def _path_lengths(n: int) -> np.ndarray:
+    """c(m) = 2H(m-1) - 2(m-1)/m for m = 0..n, with c(0) = c(1) = 0.
 
-def _harmonic(m: int) -> float:
-    while len(_HARMONIC_CACHE) <= m:
-        _HARMONIC_CACHE.append(_HARMONIC_CACHE[-1] + 1.0 / len(_HARMONIC_CACHE))
-    return _HARMONIC_CACHE[m]
+    H is a running sum of 1/i, so it has the bits of a term-by-term loop.
+    """
+    c = np.zeros(n + 1)
+    m = np.arange(2, n + 1)
+    c[2:] = 2.0 * np.cumsum(1.0 / (m - 1)) - 2.0 * (m - 1) / m
+    return c
 
 
 def average_path_length(n: int) -> float:
     """Expected unsuccessful-search path length c(n) = 2H(n-1) - 2(n-1)/n."""
-    if n <= 1:
-        return 0.0
-    return 2.0 * _harmonic(n - 1) - 2.0 * (n - 1) / n
-
-
-def _grow_and_score(
-    pts: np.ndarray,
-    sample: np.ndarray,
-    reach: np.ndarray,
-    depth: int,
-    limit: int,
-    rng: np.random.Generator,
-    paths: np.ndarray,
-) -> None:
-    """Grow one isolation-tree node and score the points that reach it.
-
-    ``sample`` indexes the tree's subsample at this node and ``reach`` every
-    dataset point that gets here; one random test splits both.  At a leaf
-    each reaching point's running path sum gains depth + c(leaf size).
-    """
-    size = len(sample)
-    if size > 1 and depth < limit:
-        sub = pts[sample]
-        lo = sub.min(axis=0)
-        hi = sub.max(axis=0)
-        splittable = np.flatnonzero(hi > lo)
-        if splittable.size:  # otherwise all remaining points coincide
-            feat = splittable[rng.integers(splittable.size)]
-            s = rng.uniform(lo[feat], hi[feat])
-            left = sub[:, feat] < s
-            reach_left = pts[reach, feat] < s
-            for part, reach_part in ((left, reach_left), (~left, ~reach_left)):
-                _grow_and_score(
-                    pts, sample[part], reach[reach_part], depth + 1, limit, rng, paths
-                )
-            return
-    paths[reach] += depth + average_path_length(size)
+    return float(_path_lengths(n)[n]) if n > 1 else 0.0
 
 
 def iforest_scores(ds: Dataset, seed: int = 0) -> np.ndarray:
     """Isolation-forest scores 2^(-E[h] / c(subsample)), in (0, 1).
 
     100 trees, each grown on min(256, N) points drawn without replacement
-    and never stored: every point is scored while its tree grows.
-    Deterministic for a fixed seed: each tree draws from its own generator
-    spawned from one seed sequence.
+    and never stored: every point is scored while its tree grows.  A tree
+    grows depth-first from an explicit stack of (subsample indices, indices
+    of every dataset point reaching the node, depth), left child first, so
+    its generator makes the same draws in the same order as a recursive
+    build and the scores are the same.  At a leaf each reaching point's
+    path sum gains depth + c(leaf size).  Deterministic for a fixed seed:
+    each tree draws from its own generator spawned from one seed sequence.
     """
     n = ds.count
     subsample = min(_SUBSAMPLE, n)
     pts = ds.points
     height_limit = math.ceil(math.log2(subsample))
+    c = _path_lengths(subsample)
     paths = np.zeros(n)
     all_points = np.arange(n)
     for child in np.random.SeedSequence(seed).spawn(_N_TREES):
         rng = np.random.default_rng(child)
-        sample = rng.choice(n, size=subsample, replace=False)
-        _grow_and_score(pts, sample, all_points, 0, height_limit, rng, paths)
+        stack = [(rng.choice(n, size=subsample, replace=False), all_points, 0)]
+        while stack:
+            sample, reach, depth = stack.pop()
+            if len(sample) > 1 and depth < height_limit:
+                sub = pts[sample]
+                lo = sub.min(axis=0)
+                hi = sub.max(axis=0)
+                splittable = np.flatnonzero(hi > lo)
+                if splittable.size:  # otherwise all remaining points coincide
+                    feat = splittable[rng.integers(splittable.size)]
+                    s = rng.uniform(lo[feat], hi[feat])
+                    left = sub[:, feat] < s
+                    reach_left = pts[reach, feat] < s
+                    stack.append((sample[~left], reach[~reach_left], depth + 1))
+                    stack.append((sample[left], reach[reach_left], depth + 1))
+                    continue
+            paths[reach] += depth + c[len(sample)]
     mean_path = paths / _N_TREES
-    return 2.0 ** (-mean_path / average_path_length(subsample))
+    return 2.0 ** (-mean_path / c[subsample])

@@ -81,6 +81,10 @@ class RunConfig:
         for name in self.detectors:
             if name not in DETECTOR_NAMES:
                 raise ConfigError(f"unknown detector {name!r}")
+        # plain Python numbers, because numpy scalars would break to_json
+        for name, kind in (("k", int), ("seed", int), ("T", float), ("threshold", float)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, kind(getattr(self, name)))
 
     def resolve_k(self, n: int) -> int:
         return self.k if self.k is not None else min(10, n - 1)

@@ -122,6 +122,23 @@ def test_bad_explosion_setting_exits_two_before_reading_input():
         assert main(["transform", "--input", "/no/such.csv", flag, value]) == 2
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("transform", "--out-report"), ("transform", "--out-data"),
+    ("transform", "--dump-blocks"), ("eval", "--out-report"),
+    ("eval", "--out-data"), ("eval", "--out-metrics"), ("synth", "--out"),
+])
+def test_output_in_missing_directory_exits_two_before_reading_input(
+    tmp_path, capsys, command, flag
+):
+    target = str(tmp_path / "no" / "such" / "out.file")
+    argv = [command, flag, target]
+    if command != "synth":
+        argv += ["--input", "/no/such.csv", "--label-col", "label"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "no").exists()
+
+
 def test_bad_synth_setting_exits_two(tmp_path):
     out = str(tmp_path / "never.csv")
     for flag, value in (("--dim", "0"), ("--dim", "-2"), ("--separation", "nan"),

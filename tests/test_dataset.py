@@ -34,6 +34,21 @@ def test_load_label_by_index_without_header(tmp_path):
     np.testing.assert_array_equal(labels.flags, [0, 1])
 
 
+def test_byte_order_mark_keeps_first_row(tmp_path):
+    f = tmp_path / "pts.csv"
+    f.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n5,6\n")
+    ds, _ = load_csv(f)
+    np.testing.assert_array_equal(ds.points, [[1, 2], [3, 4], [5, 6]])
+
+
+def test_byte_order_mark_header_names_first_column(tmp_path):
+    f = tmp_path / "pts.csv"
+    f.write_bytes(b"\xef\xbb\xbfy,a,b\n0,1,2\n1,3,4\n")
+    ds, labels = load_csv(f, "y")
+    np.testing.assert_array_equal(ds.points, [[1, 2], [3, 4]])
+    np.testing.assert_array_equal(labels.flags, [0, 1])
+
+
 def test_fractional_label_index_rejected(tmp_path):
     f = tmp_path / "pts.csv"
     f.write_text("1,2,0\n3,4,1\n")

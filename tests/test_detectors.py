@@ -10,7 +10,7 @@ from osd.detectors import (
 )
 from osd.errors import ConfigError
 
-from oracles import iforest_oracle, knn_oracle, lof_oracle
+from oracles import _average_path_length, iforest_oracle, knn_oracle, lof_oracle
 
 
 def _grid(side=8):
@@ -105,6 +105,11 @@ def test_average_path_length_base_cases():
     assert average_path_length(2) == 1.0  # 2*H(1) - 2*(1/2)
     # n = 5: 2*(1 + 1/2 + 1/3 + 1/4) - 2*4/5
     assert average_path_length(5) == pytest.approx(2 * (1 + 0.5 + 1 / 3 + 0.25) - 1.6)
+
+
+def test_average_path_length_equals_term_by_term_sum_bitwise():
+    for n in range(301):
+        assert average_path_length(n) == _average_path_length(n), n
 
 
 def test_iforest_score_formula_fixed_point():

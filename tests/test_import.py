@@ -3,6 +3,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import osd
@@ -19,6 +20,37 @@ def test_import_stays_light():
     )
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_failing_property_test_does_not_hide_later_tests(tmp_path):
+    # Under filterwarnings "error", a warning raised in hypothesis's report
+    # hook stopped pytest with INTERNALERROR, so later tests never ran.  The
+    # run must go on, and a bare DeprecationWarning must still fail its test.
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "pyproject.toml").write_text((root / "pyproject.toml").read_text())
+    (tmp_path / "test_three_cases.py").write_text(textwrap.dedent("""
+        import warnings
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 0
+
+        def test_passes():
+            pass
+
+        def test_warns():
+            warnings.warn("bare", DeprecationWarning)
+    """))
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-rA", "-p", "no:cacheprovider",
+         "test_three_cases.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert "PASSED test_three_cases.py::test_passes" in result.stdout
+    assert "FAILED test_three_cases.py::test_fails" in result.stdout
+    assert "FAILED test_three_cases.py::test_warns - DeprecationWarning" in result.stdout
 
 
 def test_bench_wrap_sites_resolve(monkeypatch):

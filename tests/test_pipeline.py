@@ -213,6 +213,16 @@ def test_report_json_round_trip():
     assert json.loads(report.to_json())["schema_version"] == 2
 
 
+def test_report_json_round_trip_with_numpy_settings():
+    ds, _ = ring_dataset(8)
+    config = RunConfig(k=np.int64(5), T=np.float32(0.5), threshold=np.float32(0.25),
+                       seed=np.int64(1))
+    _, _, report = run_osd(prepare(ds, config), config)
+    assert RunReport.from_json(report.to_json()) == report
+    assert [type(v) for v in (config.k, config.seed, config.T, config.threshold)] == [
+        int, int, float, float]
+
+
 def test_report_rejects_unknown_schema():
     with pytest.raises(DataError):
         RunReport.from_json('{"schema_version": 99}')
