@@ -58,7 +58,6 @@ class BlockPartition:
 
     assignment: np.ndarray
     masses: np.ndarray
-    threshold: float
 
     @property
     def n_blocks(self) -> int:
@@ -153,4 +152,4 @@ def divide(g: KnnGraph, threshold: float) -> BlockPartition:
     masses = np.bincount(assignment)
     assignment.setflags(write=False)
     masses.setflags(write=False)
-    return BlockPartition(assignment, masses, float(threshold))
+    return BlockPartition(assignment, masses)

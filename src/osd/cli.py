@@ -5,9 +5,11 @@ Subcommands:
     osd eval        before/after detector comparison
     osd synth       emit a synthetic cluster+outlier benchmark as CSV
 
-transform and eval write the same schema-versioned RunReport JSON with
---out-report; eval's adds the detector results.  Wall-clock timing is
-measured by bench/run.py.
+The run-setting flags of transform and eval (listed under "run settings"
+in --help) are named after RunConfig's fields, and a flag left unset takes
+RunConfig's default.  Both commands write the same schema-versioned
+RunReport JSON with --out-report; eval's adds the per-detector AUC/AP under
+detector_results.  Wall-clock timing is measured by bench/run.py.
 
 Exit codes: 0 success, 2 configuration error, 3 data error.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .dataset import load_csv
@@ -30,42 +33,34 @@ from .pipeline import (
     run_osd,
     write_partition_csv,
     write_points_csv,
-    write_tidy_metrics_csv,
 )
 from .synth import gen_clusters_outliers, gen_imbalance_series
 
 
-def _add_transform_flags(p: argparse.ArgumentParser) -> None:
+def _add_transform_flags(p: argparse.ArgumentParser) -> argparse._ArgumentGroup:
     p.add_argument("--input", required=True, help="CSV file of points")
     p.add_argument("--label-col", default=None,
                    help="label column name (needs header) or 0-based index")
-    p.add_argument("--k", type=int, default=None,
-                   help="neighbor count (default min(10, N-1))")
-    p.add_argument("--T", type=float, default=1.0, help="explosion duration")
-    p.add_argument("--threshold", type=float, default=None,
-                   help="pruning-weight override; skips knee detection")
-    p.add_argument("--sign-mode", choices=SIGN_MODES, default="corrected")
-    p.add_argument("--direction-mode", choices=DIRECTION_MODES, default="corrected")
-    p.add_argument("--no-normalize", action="store_true",
-                   help="skip per-feature min-max scaling")
-    p.add_argument("--ablation", choices=ABLATIONS, default="none")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-report", default=None, help="JSON report path")
     p.add_argument("--out-data", default=None, help="output CSV path")
+    run = p.add_argument_group("run settings", "an unset flag takes RunConfig's default",
+                               argument_default=argparse.SUPPRESS)  # dests are field names
+    run.add_argument("--k", type=int, help="neighbor count (default min(10, N-1))")
+    run.add_argument("--T", type=float, help="explosion duration")
+    run.add_argument("--threshold", type=float,
+                     help="pruning-weight override; skips knee detection")
+    run.add_argument("--sign-mode", choices=SIGN_MODES)
+    run.add_argument("--direction-mode", choices=DIRECTION_MODES)
+    run.add_argument("--no-normalize", dest="normalize", action="store_false",
+                     help="skip per-feature min-max scaling")
+    run.add_argument("--ablation", choices=ABLATIONS)
+    run.add_argument("--seed", type=int)
+    return run
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        k=args.k,
-        T=args.T,
-        threshold=args.threshold,
-        sign_mode=args.sign_mode,
-        direction_mode=args.direction_mode,
-        normalize=not args.no_normalize,
-        ablation=args.ablation,
-        detectors=tuple(getattr(args, "detector", None) or DETECTOR_NAMES),
-        seed=args.seed,
-    )
+    given = vars(args)  # holds only the run flags the user set
+    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
@@ -78,8 +73,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     if args.dump_blocks:
         write_partition_csv(args.dump_blocks, partition)
     if args.out_report:
-        with open(args.out_report, "w") as fh:
-            fh.write(report.to_json())
+        Path(args.out_report).write_text(report.to_json())
     print(
         f"transformed {ds.count} objects: {report.n_blocks} blocks, "
         f"threshold {report.threshold}, {report.n_invalid_pairs} invalid pairs"
@@ -98,10 +92,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.out_data:
         write_points_csv(args.out_data, result, labels)
     if args.out_report:
-        with open(args.out_report, "w") as fh:
-            fh.write(report.to_json())
-    if args.out_metrics:
-        write_tidy_metrics_csv(args.out_metrics, [(float(config.seed), report)])
+        Path(args.out_report).write_text(report.to_json())
     for name, res in report.detector_results.items():
         print(
             f"{name}: AUC {res['auc_before']:.4f} -> {res['auc_after']:.4f}, "
@@ -133,16 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="relocate a dataset")
     _add_transform_flags(p)
-    p.add_argument("--dump-blocks", default=None,
-                   help="write object_id,block_id CSV")
+    p.add_argument("--dump-blocks", default=None, help="write object_id,block_id CSV")
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("eval", help="before/after detector comparison")
-    _add_transform_flags(p)
-    p.add_argument("--detector", action="append", choices=DETECTOR_NAMES,
-                   help="repeatable; default: all")
-    p.add_argument("--out-metrics", default=None,
-                   help="tidy level,metric,value CSV for plotting")
+    _add_transform_flags(p).add_argument(
+        "--detector", dest="detectors", action="append", choices=DETECTOR_NAMES,
+        help="repeatable; default: all")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("synth", help="generate a benchmark CSV")
@@ -163,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for flag in ("out_report", "out_data", "dump_blocks", "out_metrics", "out"):
+        for flag in ("out_report", "out_data", "dump_blocks", "out"):
             out = getattr(args, flag, None)
             if out and not Path(out).parent.is_dir():  # fail before any work is done
                 raise ConfigError(f"no directory for --{flag.replace('_', '-')} {out}")

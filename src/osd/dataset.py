@@ -173,8 +173,11 @@ def min_max_normalize(ds: Dataset) -> Dataset:
     pts = ds.points
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
-    span = hi - lo
+    # A column whose span overflows is halved first, which is exact for normal
+    # numbers; the other columns are scaled by 1.0, which changes no bit.
+    scale = np.where(hi / 2 - lo / 2 > np.finfo(pts.dtype).max / 2, 0.5, 1.0)
+    lo, span = lo * scale, hi * scale - lo * scale
     out = np.zeros_like(pts)
     live = span > 0
-    out[:, live] = (pts[:, live] - lo[live]) / span[live]
+    out[:, live] = (pts[:, live] * scale[live] - lo[live]) / span[live]
     return Dataset(out)

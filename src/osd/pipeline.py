@@ -19,8 +19,9 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, replace
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Any
 
@@ -58,33 +59,42 @@ class RunConfig:
     direction_mode: str = "corrected"
     normalize: bool = True
     ablation: str = "none"
-    detectors: tuple[str, ...] = ("lof", "iforest", "knn")
+    detectors: tuple[str, ...] = DETECTOR_NAMES
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.k is not None and not (isinstance(self.k, Integral) and self.k >= 1):
+        # plain Python numbers, because numpy scalars would break to_json
+        for name, kind in (("k", Integral), ("seed", Integral), ("T", Real), ("threshold", Real)):
+            value = getattr(self, name)
+            if value is None and name in ("k", "threshold"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if kind is Integral else "a real number"
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
+            object.__setattr__(self, name, int(value) if kind is Integral else float(value))
+        if self.k is not None and self.k < 1:
             raise ConfigError(f"k must be an integer >= 1, got {self.k!r}")
-        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+        if self.seed < 0:
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not (math.isfinite(self.T) and self.T > 0):
             raise ConfigError(f"T must be positive and finite, got {self.T}")
         if self.threshold is not None and math.isnan(self.threshold):
             raise ConfigError("threshold must not be NaN")
+        if not isinstance(self.normalize, (bool, np.bool_)):
+            raise ConfigError(f"normalize must be a bool, got {self.normalize!r}")
+        object.__setattr__(self, "normalize", bool(self.normalize))
         if self.sign_mode not in SIGN_MODES:
             raise ConfigError(f"sign_mode must be one of {SIGN_MODES}")
         if self.direction_mode not in DIRECTION_MODES:
             raise ConfigError(f"direction_mode must be one of {DIRECTION_MODES}")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"ablation must be one of {ABLATIONS}")
-        if isinstance(self.detectors, str):
+        if isinstance(self.detectors, str) or not isinstance(self.detectors, Iterable):
             raise ConfigError(f"detectors must be a tuple of names: {self.detectors!r}")
+        object.__setattr__(self, "detectors", tuple(self.detectors))  # argparse gives a list
         for name in self.detectors:
             if name not in DETECTOR_NAMES:
                 raise ConfigError(f"unknown detector {name!r}")
-        # plain Python numbers, because numpy scalars would break to_json
-        for name, kind in (("k", int), ("seed", int), ("T", float), ("threshold", float)):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, kind(getattr(self, name)))
 
     def resolve_k(self, n: int) -> int:
         return self.k if self.k is not None else min(10, n - 1)
@@ -260,22 +270,6 @@ def evaluate(
         }
     base = report or RunReport(_config_record(config))
     return replace(base, detector_results=results, timings={**base.timings, **timings})
-
-
-def write_tidy_metrics_csv(
-    path: str | Path, tagged_reports: list[tuple[float, RunReport]]
-) -> None:
-    """Long-format (level, metric, value) rows for plotting metric curves.
-
-    ``level`` is whatever the sweep varied (imbalance level, seed, ...);
-    metrics are named <detector>_<auc|ap>_<before|after>.
-    """
-    lines = ["level,metric,value"]
-    for level, report in tagged_reports:
-        for detector, res in report.detector_results.items():
-            for key, value in res.items():
-                lines.append(f"{level},{detector}_{key},{value:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_points_csv(path: str | Path, ds: Dataset, labels: Labels | None = None) -> None:

@@ -1,11 +1,12 @@
+import argparse
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from osd.cli import main
-from osd.pipeline import RunReport
+from osd.cli import _config_from, build_parser, main
+from osd.pipeline import RunConfig, RunReport
 
 
 def _synth(tmp_path, name="data.csv", seed=0):
@@ -58,21 +59,16 @@ def test_transform_threshold_override(tmp_path):
 def test_eval_writes_report(tmp_path):
     data = _synth(tmp_path)
     report = tmp_path / "report.json"
-    metrics = tmp_path / "tidy.csv"
     code = main([
         "eval", "--input", str(data), "--label-col", "label",
         "--k", "5", "--seed", "0", "--detector", "knn",
         "--detector", "lof", "--out-report", str(report),
-        "--out-metrics", str(metrics),
     ])
     assert code == 0
     rep = json.loads(report.read_text())
     assert set(rep["detector_results"]) == {"knn", "lof"}
     for res in rep["detector_results"].values():
         assert 0.0 <= res["auc_after"] <= 1.0
-    lines = metrics.read_text().splitlines()
-    assert lines[0] == "level,metric,value"
-    assert len(lines) == 1 + 2 * 4
 
 
 def test_transform_and_eval_write_one_report_schema(tmp_path):
@@ -91,6 +87,38 @@ def test_transform_and_eval_write_one_report_schema(tmp_path):
     assert set(evaluated.detector_results) == {"lof", "iforest", "knn"}
     strip = {"timings": {}, "detector_results": {}}
     assert replace(transform, **strip) == replace(evaluated, **strip)
+
+
+NON_DEFAULT_RUN_FLAGS = {
+    "k": (["--k", "7"], 7),
+    "T": (["--T", "0.5"], 0.5),
+    "threshold": (["--threshold", "-0.25"], -0.25),
+    "sign_mode": (["--sign-mode", "literal"], "literal"),
+    "direction_mode": (["--direction-mode", "literal"], "literal"),
+    "normalize": (["--no-normalize"], False),
+    "ablation": (["--ablation", "no-repulsion"], "no-repulsion"),
+    "detectors": (["--detector", "knn", "--detector", "lof"], ("knn", "lof")),
+    "seed": (["--seed", "3"], 3),
+}
+
+
+@pytest.mark.parametrize("command", ["transform", "eval"])
+def test_run_flags_map_onto_run_config_by_name(command):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    (group,) = [g for g in sub.choices[command]._action_groups if g.title == "run settings"]
+    names = {f.name for f in fields(RunConfig)} - ({"detectors"} if command == "transform" else set())
+    assert {a.dest for a in group._group_actions} == names
+    # no run flag: every field keeps RunConfig's default
+    assert _config_from(parser.parse_args([command, "--input", "x.csv"])) == RunConfig()
+    # every run flag set to a value other than its default
+    argv, expected = [command, "--input", "x.csv"], {}
+    for name in names:
+        flags, value = NON_DEFAULT_RUN_FLAGS[name]
+        assert value != getattr(RunConfig(), name)
+        argv += flags
+        expected[name] = value
+    assert _config_from(parser.parse_args(argv)) == RunConfig(**expected)
 
 
 def test_eval_requires_label_column(tmp_path):
@@ -125,7 +153,7 @@ def test_bad_explosion_setting_exits_two_before_reading_input():
 @pytest.mark.parametrize("command, flag", [
     ("transform", "--out-report"), ("transform", "--out-data"),
     ("transform", "--dump-blocks"), ("eval", "--out-report"),
-    ("eval", "--out-data"), ("eval", "--out-metrics"), ("synth", "--out"),
+    ("eval", "--out-data"), ("synth", "--out"),
 ])
 def test_output_in_missing_directory_exits_two_before_reading_input(
     tmp_path, capsys, command, flag

@@ -143,10 +143,22 @@ def test_normalize_per_feature_affine():
     np.testing.assert_array_equal(min_max_normalize(ds).points, [[0, 0], [1, 1]])
 
 
+def test_normalize_column_whose_span_overflows():
+    # hi - lo overflows for this finite column; pytest makes any warning an error
+    ds = Dataset(np.array([[-1e308], [1e308], [0.0]]))
+    np.testing.assert_array_equal(min_max_normalize(ds).points, [[0.0], [1.0], [0.5]])
+
+
+# every finite float, with the two largest magnitudes drawn often: a column
+# holding both has a span beyond the float range
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-np.finfo(float).max, np.finfo(float).max])
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(
-        st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=4),
+        st.lists(FINITE, min_size=2, max_size=4),
         min_size=2,
         max_size=12,
     ).filter(lambda rows: len({len(r) for r in rows}) == 1)

@@ -41,7 +41,10 @@ def test_config_rejects_bad_explosion_settings_at_construction():
     for bad in ({"T": 0}, {"sign_mode": "bogus"}, {"direction_mode": "x"},
                 {"k": 0}, {"k": -3}, {"T": np.nan}, {"T": np.inf},
                 {"T": -np.inf}, {"threshold": np.nan}, {"k": 2.5}, {"k": "3"},
-                {"seed": -1}, {"seed": 1.5}, {"detectors": "lof"}):
+                {"seed": -1}, {"seed": 1.5}, {"detectors": "lof"}, {"T": "1"},
+                {"threshold": "0.5"}, {"k": True}, {"seed": False}, {"T": True},
+                {"threshold": False}, {"normalize": "no"}, {"normalize": 1},
+                {"detectors": 5}, {"detectors": None}, {"seed": None}, {"T": None}):
         with pytest.raises(ConfigError):
             RunConfig(**bad)
     for edge in (-np.inf, np.inf):  # keep every edge / prune every edge
@@ -216,11 +219,11 @@ def test_report_json_round_trip():
 def test_report_json_round_trip_with_numpy_settings():
     ds, _ = ring_dataset(8)
     config = RunConfig(k=np.int64(5), T=np.float32(0.5), threshold=np.float32(0.25),
-                       seed=np.int64(1))
+                       seed=np.int64(1), normalize=np.bool_(True))
     _, _, report = run_osd(prepare(ds, config), config)
     assert RunReport.from_json(report.to_json()) == report
-    assert [type(v) for v in (config.k, config.seed, config.T, config.threshold)] == [
-        int, int, float, float]
+    assert [type(v) for v in (config.k, config.seed, config.T, config.threshold,
+                              config.normalize)] == [int, int, float, float, bool]
 
 
 def test_report_rejects_unknown_schema():
@@ -240,21 +243,3 @@ def test_report_rejects_unknown_schema():
 def test_report_from_json_rejects_malformed_input(text):
     with pytest.raises(DataError):
         RunReport.from_json(text)
-
-
-def test_tidy_metrics_export(tmp_path):
-    from osd.pipeline import write_tidy_metrics_csv
-
-    config = RunConfig(k=5, detectors=("knn",), seed=2)
-    tagged = []
-    for level, seed in ((1.0, 2), (4.0, 3)):
-        ds, labels = ring_dataset(seed)
-        prepared = prepare(ds, config)
-        out, _, report = run_osd(prepared, config)
-        tagged.append((level, evaluate(prepared, out, labels, config, report)))
-    path = tmp_path / "tidy.csv"
-    write_tidy_metrics_csv(path, tagged)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "level,metric,value"
-    assert len(lines) == 1 + 2 * 4  # two levels x four knn metrics
-    assert lines[1].startswith("1.0,knn_auc_before,")

@@ -1,3 +1,4 @@
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -24,3 +25,12 @@ def test_readme_quick_start_and_library_example_run(tmp_path, monkeypatch, capsy
     assert main(next(argv for argv in argvs if argv[0] == "synth")) == 0
     exec(compile(_block("python", "Library use"), "README.md", "exec"), {})
     assert '"schema_version": 2' in capsys.readouterr().out
+
+
+def test_readme_flags_are_transform_or_eval_options():
+    section = README[README.index("### Flags worth knowing"):]
+    section = section[:section.index("\n#")]
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for cmd in ("transform", "eval") for o in sub.choices[cmd]._option_string_actions}
+    flags = set(re.findall(r"--[A-Za-z][A-Za-z-]*", section))
+    assert flags and flags <= options, flags - options
