@@ -104,19 +104,21 @@ def load_csv(
 
     # utf-8-sig drops the byte-order mark some spreadsheet exports write, which
     # would otherwise make the first cell non-numeric and the first row a header.
+    # Each row keeps its file line number for messages; blank lines are dropped.
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise DataError(f"empty file: {path}")
 
     header: list[str] | None = None
-    if any(not _is_number(cell) for cell in rows[0]):
-        header = [cell.strip() for cell in rows[0]]
+    if any(not _is_number(cell) for cell in rows[0][1]):
+        header = [cell.strip() for cell in rows[0][1]]
         rows = rows[1:]
         if not rows:
             raise DataError(f"no data rows in {path}")
 
-    width = len(rows[0])
+    width = len(rows[0][1])
     label_idx: int | None = None
     if label_column is not None:
         if isinstance(label_column, str) and not _is_number(label_column):
@@ -136,19 +138,15 @@ def load_csv(
                 raise DataError(f"label column index {label_idx} out of range")
 
     values = np.empty((len(rows), width), dtype=np.float64)
-    for r, row in enumerate(rows):
+    for r, (line, row) in enumerate(rows):
         if len(row) != width:
-            raise DataError(
-                f"ragged row {r + (2 if header else 1)}: "
-                f"expected {width} cells, got {len(row)}"
-            )
+            raise DataError(f"ragged row {line}: expected {width} cells, got {len(row)}")
         for c, cell in enumerate(row):
             try:
                 values[r, c] = float(cell)
             except ValueError:
                 raise DataError(
-                    f"non-numeric cell {cell!r} at row "
-                    f"{r + (2 if header else 1)}, column {c + 1}"
+                    f"non-numeric cell {cell!r} at row {line}, column {c + 1}"
                 ) from None
 
     if label_idx is None:
@@ -157,10 +155,7 @@ def load_csv(
     raw = values[:, label_idx]
     if not np.all(np.isin(raw, (0.0, 1.0))):
         bad = int(np.argwhere(~np.isin(raw, (0.0, 1.0)))[0][0])
-        raise DataError(
-            f"label value {raw[bad]!r} at row {bad + (2 if header else 1)} "
-            "is not 0 or 1"
-        )
+        raise DataError(f"label value {float(raw[bad])} at row {rows[bad][0]} is not 0 or 1")
     feats = np.delete(values, label_idx, axis=1)
     return Dataset(feats), Labels(raw.astype(np.int8))
 

@@ -62,11 +62,6 @@ def _path_lengths(n: int) -> np.ndarray:
     return c
 
 
-def average_path_length(n: int) -> float:
-    """Expected unsuccessful-search path length c(n) = 2H(n-1) - 2(n-1)/n."""
-    return float(_path_lengths(n)[n]) if n > 1 else 0.0
-
-
 def iforest_scores(ds: Dataset, seed: int = 0) -> np.ndarray:
     """Isolation-forest scores 2^(-E[h] / c(subsample)), in (0, 1).
 

@@ -41,7 +41,7 @@ def _epsilon(ds: Dataset) -> float:
 def _inverse_distance(diff: np.ndarray, scale: float, eps: float) -> np.ndarray:
     """scale * diff / ||diff||^2 along the last axis; zero where ||diff|| <= eps."""
     r2 = np.sum(diff * diff, axis=-1, keepdims=True)
-    dead = (r2 <= eps * eps) | (r2 == 0.0)
+    dead = r2 <= eps * eps  # eps >= 0, so this covers r2 == 0
     return np.where(dead, 0.0, scale * diff / np.where(dead, 1.0, r2))
 
 

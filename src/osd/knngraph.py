@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .dataset import Dataset
 from .errors import ConfigError
@@ -102,6 +101,9 @@ def build(ds: Dataset, k: int) -> KnnGraph:
         if k == kept.k:
             return kept
         return _graph(kept.neighbor_idx[:, :k], kept.neighbor_dist[:, :k])
+    # Imported on first use: at module level it took about half a second of
+    # `import osd`, paid also by commands that never build a graph.
+    from scipy.spatial import cKDTree
 
     pts = ds.points
     # Collapse byte-identical rows into distinct points, renumbered by first

@@ -8,10 +8,13 @@ bomb uniformly in the bounding box instead of at the particle centroid,
 object as its own block of mass 1 (one block for everything would be a
 provable fixed point, which would make the ablation meaningless).
 
-One run is recorded in one schema-versioned RunReport: run_osd fills the
-transform fields, evaluate adds the detector results, and both CLI
-commands write it as JSON.  Labels never enter the transform; they are
-only consumed by evaluate().
+One run is recorded in one schema-versioned RunReport whose config is the
+RunConfig itself: run_osd fills the transform fields, evaluate adds the
+detector results (for a report made under its own config only), and both
+CLI commands write it as JSON.  RunReport.from_json rebuilds the config
+through RunConfig, so flags, library calls and report files pass the same
+checks.  Labels never enter the transform; they are only consumed by
+evaluate().
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, replace
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
@@ -71,7 +73,10 @@ class RunConfig:
             if isinstance(value, bool) or not isinstance(value, kind):
                 what = "an integer" if kind is Integral else "a real number"
                 raise ConfigError(f"{name} must be {what}, got {value!r}")
-            object.__setattr__(self, name, int(value) if kind is Integral else float(value))
+            try:
+                object.__setattr__(self, name, int(value) if kind is Integral else float(value))
+            except OverflowError:
+                raise ConfigError(f"{name} is beyond the float range") from None
         if self.k is not None and self.k < 1:
             raise ConfigError(f"k must be an integer >= 1, got {self.k!r}")
         if self.seed < 0:
@@ -100,10 +105,6 @@ class RunConfig:
         return self.k if self.k is not None else min(10, n - 1)
 
 
-def _config_record(config: RunConfig) -> dict[str, Any]:
-    return {**asdict(config), "detectors": list(config.detectors)}
-
-
 @dataclass(frozen=True)
 class RunReport:
     """The record of one run: transform diagnostics and detector results.
@@ -115,7 +116,7 @@ class RunReport:
     wall-clock seconds per transform stage and per detector.
     """
 
-    config: dict[str, Any]
+    config: RunConfig
     k: int | None = None
     n_edges: int | None = None
     threshold: float | None = None
@@ -142,9 +143,11 @@ class RunReport:
             raise DataError("report must be a JSON object")
         if raw.get("schema_version") != REPORT_SCHEMA_VERSION:
             raise DataError(f"unsupported report schema: {raw.get('schema_version')}")
-        try:
-            return cls(**raw)
-        except TypeError as exc:  # a missing or unknown field
+        if not isinstance(raw.get("config"), dict):
+            raise DataError("report config must be a JSON object")
+        try:  # the settings pass the same checks as flags and library calls
+            return cls(**{**raw, "config": RunConfig(**raw["config"])})
+        except (TypeError, ConfigError) as exc:  # a missing, unknown or refused field
             raise DataError(f"malformed report: {exc}") from exc
 
 
@@ -179,7 +182,7 @@ def run_osd(
         threshold = knee_bin = None
     else:
         if config.threshold is not None:
-            threshold, knee_bin = float(config.threshold), None
+            threshold, knee_bin = config.threshold, None
         else:
             knee = find_inflection(weight_histogram(graph))
             threshold, knee_bin = knee.threshold, knee.knee_bin
@@ -213,7 +216,7 @@ def run_osd(
     timings["repulsion"] = clock() - t0
 
     report = RunReport(
-        _config_record(config),
+        config,
         k=k,
         n_edges=graph.n_edges,
         threshold=threshold,
@@ -247,10 +250,12 @@ def evaluate(
 ) -> RunReport:
     """Score each configured detector on both datasets.
 
-    Returns a copy of ``report`` (the one run_osd produced, or an empty
-    one for ``config``) with the detector results and per-detector timings
-    added; ``report`` itself is left as it was.
+    Returns a copy of ``report`` (the one run_osd produced under this same
+    ``config``, or an empty one for it) with the detector results and
+    per-detector timings added; ``report`` itself is left as it was.
     """
+    if report is not None and report.config != config:
+        raise ConfigError("report was made under another config than evaluate's")
     if labels is None:
         raise DataError("evaluation requires labels")
     if labels.count != before.count or labels.count != after.count:
@@ -268,7 +273,7 @@ def evaluate(
             "auc_after": after_res.auc,
             "ap_after": after_res.ap,
         }
-    base = report or RunReport(_config_record(config))
+    base = report or RunReport(config)
     return replace(base, detector_results=results, timings={**base.timings, **timings})
 
 

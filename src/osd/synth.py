@@ -102,15 +102,14 @@ def gen_imbalance_series(
     seed: int,
     dim: int = 2,
     pts_per_cluster: int = 150,
-    outlier_frac: float = 0.05,
 ) -> list[tuple[Dataset, Labels]]:
     """Two-cluster datasets whose cluster density ratio sweeps over levels.
 
     Density scales as spread^-dim, so a level-L dataset keeps one cluster
     at unit spread and widens the other by L^(1/dim).  Each dataset adds
-    ``outlier_frac`` uniform outliers over the cluster bounding box,
-    rejected within 5 spreads of either center.  One derived seed per
-    level keeps every dataset reproducible independently of the others.
+    5% uniform outliers over the cluster bounding box, rejected within 5
+    spreads of either center.  One derived seed per level keeps every
+    dataset reproducible independently of the others.
     """
     if pts_per_cluster < 1 or dim < 1:
         raise ConfigError("pts_per_cluster and dim must be positive")
@@ -127,7 +126,7 @@ def gen_imbalance_series(
         dense = centers[0] + rng.standard_normal((pts_per_cluster, dim))
         sparse = centers[1] + spread * rng.standard_normal((pts_per_cluster, dim))
         normal = np.vstack([dense, sparse])
-        n_out = max(1, round(outlier_frac * len(normal)))
+        n_out = max(1, round(0.05 * len(normal)))
         outliers = _draw_outliers(
             rng, n_out, normal.min(axis=0), normal.max(axis=0),
             centers, np.array([5.0, 5.0 * spread]),

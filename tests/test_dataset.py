@@ -80,6 +80,22 @@ def test_non_numeric_cell_names_row(tmp_path):
         load_csv(f)
 
 
+@pytest.mark.parametrize(
+    "text, label, message",
+    [
+        ("x,y\n1,0\n\nabc,3", None, "non-numeric cell 'abc' at row 4, column 1"),
+        ("1,0\n\n\n2", None, "ragged row 4: expected 2 cells, got 1"),
+        ("x,y\n1,0\n\n2,2\n", "y", "label value 2.0 at row 4 is not 0 or 1"),
+    ],
+)
+def test_messages_name_the_file_line_after_blank_lines(tmp_path, text, label, message):
+    f = tmp_path / "pts.csv"
+    f.write_text(text)
+    with pytest.raises(DataError) as info:
+        load_csv(f, label)
+    assert str(info.value) == message
+
+
 def test_missing_file():
     with pytest.raises(DataError, match="no such file"):
         load_csv("/nonexistent/file.csv")

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from osd.dataset import Dataset
-from osd.detectors import (
-    average_path_length,
-    iforest_scores,
-    knn_dist_scores,
-    lof_scores,
-)
+from osd.detectors import _path_lengths, iforest_scores, knn_dist_scores, lof_scores
 from osd.errors import ConfigError
 
 from oracles import _average_path_length, iforest_oracle, knn_oracle, lof_oracle
@@ -100,21 +95,21 @@ def test_knn_dist_permutation_equivariance():
 
 
 def test_average_path_length_base_cases():
-    assert average_path_length(0) == 0.0
-    assert average_path_length(1) == 0.0
-    assert average_path_length(2) == 1.0  # 2*H(1) - 2*(1/2)
+    assert _path_lengths(0)[0] == 0.0
+    assert _path_lengths(1)[1] == 0.0
+    assert _path_lengths(2)[2] == 1.0  # 2*H(1) - 2*(1/2)
     # n = 5: 2*(1 + 1/2 + 1/3 + 1/4) - 2*4/5
-    assert average_path_length(5) == pytest.approx(2 * (1 + 0.5 + 1 / 3 + 0.25) - 1.6)
+    assert _path_lengths(5)[5] == pytest.approx(2 * (1 + 0.5 + 1 / 3 + 0.25) - 1.6)
 
 
 def test_average_path_length_equals_term_by_term_sum_bitwise():
     for n in range(301):
-        assert average_path_length(n) == _average_path_length(n), n
+        assert _path_lengths(n)[n] == _average_path_length(n), n
 
 
 def test_iforest_score_formula_fixed_point():
     # if E[h(x)] equals c(n), the score is exactly 0.5
-    c = average_path_length(256)
+    c = _path_lengths(256)[256]
     assert 2.0 ** (-c / c) == 0.5
 
 

@@ -10,13 +10,14 @@ import osd
 
 
 def test_import_stays_light():
-    # scipy.stats alone takes over half a second to import, and
+    # scipy.stats alone takes over half a second to import, scipy.spatial
+    # (imported where k-NN graphs are built) about as long, and
     # scipy.sparse.csgraph (imported where blocks are divided) about 25 ms;
-    # either would land in every command's start-up time.
+    # each would land in every command's start-up time.
     src = str(Path(osd.__file__).resolve().parents[1])
     code = (
         "import sys, osd; "
-        "assert not {'scipy.stats', 'scipy.sparse.csgraph'} & set(sys.modules)"
+        "assert not {'scipy.stats', 'scipy.spatial', 'scipy.sparse.csgraph'} & set(sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -44,7 +44,8 @@ def test_config_rejects_bad_explosion_settings_at_construction():
                 {"seed": -1}, {"seed": 1.5}, {"detectors": "lof"}, {"T": "1"},
                 {"threshold": "0.5"}, {"k": True}, {"seed": False}, {"T": True},
                 {"threshold": False}, {"normalize": "no"}, {"normalize": 1},
-                {"detectors": 5}, {"detectors": None}, {"seed": None}, {"T": None}):
+                {"detectors": 5}, {"detectors": None}, {"seed": None}, {"T": None},
+                {"T": 10**400}, {"threshold": 10**400}, {"threshold": -(10**400)}):
         with pytest.raises(ConfigError):
             RunConfig(**bad)
     for edge in (-np.inf, np.inf):  # keep every edge / prune every edge
@@ -185,11 +186,19 @@ def test_evaluate_without_report_leaves_transform_fields_at_defaults():
     config = RunConfig(k=5, detectors=("knn",))
     report = evaluate(ds, ds, labels, config)
     assert report == RunReport(
-        config={**dataclasses.asdict(config), "detectors": ["knn"]},
+        config=config,
         detector_results=report.detector_results,
         timings=report.timings,
     )
     assert set(report.detector_results) == set(report.timings) == {"knn"}
+
+
+def test_evaluate_refuses_a_report_made_under_another_config():
+    ds, labels = ring_dataset(11)
+    prepared = prepare(ds, RunConfig())
+    out, _, report = run_osd(prepared, RunConfig())
+    with pytest.raises(ConfigError, match="another config"):
+        evaluate(prepared, out, labels, RunConfig(seed=7, detectors=("iforest",)), report)
 
 
 def test_evaluate_copies_the_transform_report():
@@ -226,6 +235,16 @@ def test_report_json_round_trip_with_numpy_settings():
                               config.normalize)] == [int, int, float, float, bool]
 
 
+def test_report_config_is_the_run_config_and_round_trips():
+    ds, _ = ring_dataset(8)
+    config = RunConfig(k=5, threshold=-np.inf, ablation="random-bomb", detectors=("lof",))
+    _, _, report = run_osd(prepare(ds, config), config)
+    assert report.config is config
+    restored = RunReport.from_json(report.to_json())
+    assert type(restored.config) is RunConfig and restored.config == config
+    assert json.loads(report.to_json())["config"]["detectors"] == ["lof"]
+
+
 def test_report_rejects_unknown_schema():
     with pytest.raises(DataError):
         RunReport.from_json('{"schema_version": 99}')
@@ -236,6 +255,12 @@ def test_report_rejects_unknown_schema():
     [
         '{"schema_version": 2}',
         '{"schema_version": 2, "config": {}, "unknown": 1}',
+        '{"schema_version": 2, "config": [1]}',
+        '{"schema_version": 2, "config": {"k": -5, "ablation": "bogus", "whatever": 1}}',
+        '{"schema_version": 2, "config": {"k": -5}}',
+        '{"schema_version": 2, "config": {"ablation": "bogus"}}',
+        '{"schema_version": 2, "config": {"whatever": 1}}',
+        '{"schema_version": 2, "config": {"k": 5.0}}',
         "[1]",
         "{not json",
     ],
