@@ -68,32 +68,30 @@ class BlockPartition:
         return self.assignment.shape[0]
 
 
-def weight_histogram(g: KnnGraph) -> WeightHistogram:
-    """Bin the deduplicated edge weights into equidistant intervals.
+def weight_histogram(weights: np.ndarray, n_objects: int) -> WeightHistogram:
+    """Bin a graph's edge weights into equidistant intervals.
 
     Bin width is (max - min) * 10 / N for N > 20 objects; smaller graphs
     fall back to 2 bins, and an all-equal weight set gets a synthetic
     2-bin range with every edge in the bin whose left edge is that weight.
     """
-    if g.n_edges == 0:
+    if len(weights) == 0:
         raise DataError("graph has no edges to histogram")
-    w = g.edge_weights
-    n = g.n_objects
-    wmin = float(w.min())
-    wmax = float(w.max())
+    wmin = float(weights.min())
+    wmax = float(weights.max())
 
     if wmax == wmin:
         edges = np.array([wmin - 0.5, wmin, wmin + 0.5])
-    elif n > 20:
-        width = (wmax - wmin) * 10.0 / n
-        nbins = math.ceil(n / 10)
+    elif n_objects > 20:
+        width = (wmax - wmin) * 10.0 / n_objects
+        nbins = math.ceil(n_objects / 10)
         edges = wmin + width * np.arange(nbins + 1)
         edges[-1] = max(edges[-1], wmax)  # float guard: cover max exactly
     else:
         edges = np.array([wmin, wmin + (wmax - wmin) / 2.0, wmax])
 
-    counts, _ = np.histogram(w, bins=edges)
-    return WeightHistogram(edges, counts / n)
+    counts, _ = np.histogram(weights, bins=edges)
+    return WeightHistogram(edges, counts / n_objects)
 
 
 def find_inflection(h: WeightHistogram) -> InflectionResult:
@@ -137,11 +135,14 @@ def divide(g: KnnGraph, threshold: float) -> BlockPartition:
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
+    # The directed pairs (i, neighbor) stand in for the deduplicated edges:
+    # an edge survives iff either direction does (both carry the same
+    # distance, and -d >= threshold is the IEEE test d <= -threshold), and
+    # components of an undirected graph ignore repeated or reversed pairs.
+    rows, cols = np.nonzero(g.neighbor_dist <= -threshold)
+    ones = np.ones(len(rows), dtype=np.int8)
     n = g.n_objects
-    kept = g.edges[g.edge_weights >= threshold]
-    adjacency = coo_matrix(
-        (np.ones(len(kept), dtype=np.int8), (kept[:, 0], kept[:, 1])), shape=(n, n)
-    )
+    adjacency = coo_matrix((ones, (rows, g.neighbor_idx[rows, cols])), shape=(n, n))
     n_blocks, labels = connected_components(adjacency, directed=False)
     # Number blocks by first appearance, i.e. by smallest member index;
     # scipy does not document its label order.

@@ -1,4 +1,4 @@
-"""Exact k-nearest-neighbor graph with negative-distance edge weights.
+"""Exact k-nearest-neighbor graph: ordered neighbor lists per object.
 
 Neighbor lists are exact: identical to brute-force all-pairs ranking under
 the tie rule "nondecreasing distance, equal distances by ascending object
@@ -15,12 +15,14 @@ Under that total order a k-list is a prefix of every longer list.  The
 graph built on a Dataset is therefore kept on that instance and serves
 every later request for the same or a smaller k on it.  Sharing is per
 instance, never by content: an equal Dataset built separately gets its own
-graph.
+graph.  The undirected edges, weighted by negative distance, are derived
+from the lists on first read, so graphs nobody reads edges of never pay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,14 +46,16 @@ class KnnGraph:
     neighbor_idx[i] holds the k nearest objects of i (ascending distance,
     ties by ascending index); neighbor_dist matches elementwise.  edges is
     the deduplicated union over all directed (i -> neighbor) pairs, stored
-    once with i < j; edge_weights[e] = -distance(i, j) <= 0.
+    once with i < j; edge_weights[e] = -distance(i, j) <= 0.  Both are
+    derived from the lists on first read and kept; every array is read-only.
     """
 
-    k: int
     neighbor_idx: np.ndarray
     neighbor_dist: np.ndarray
-    edges: np.ndarray
-    edge_weights: np.ndarray
+
+    @property
+    def k(self) -> int:
+        return self.neighbor_idx.shape[1]
 
     @property
     def n_objects(self) -> int:
@@ -61,29 +65,32 @@ class KnnGraph:
     def n_edges(self) -> int:
         return self.edges.shape[0]
 
+    @property
+    def edges(self) -> np.ndarray:
+        return self._undirected[0]
+
+    @property
+    def edge_weights(self) -> np.ndarray:
+        return self._undirected[1]
+
+    @cached_property
+    def _undirected(self) -> tuple[np.ndarray, np.ndarray]:
+        n = self.n_objects
+        src, dst = np.arange(n)[:, None], self.neighbor_idx
+        codes = np.minimum(src, dst) * n + np.maximum(src, dst)
+        codes, first = np.unique(codes, return_index=True)  # flattened row-major
+        edges = np.stack(np.divmod(codes, n), axis=1)
+        # (a-b)^2 == (b-a)^2 exactly, so the directed distance is the edge's.
+        weights = -self.neighbor_dist.ravel()[first] + 0.0
+        edges.setflags(write=False)
+        weights.setflags(write=False)
+        return edges, weights
+
 
 def _distances(point: np.ndarray, others: np.ndarray) -> np.ndarray:
     """Canonical Euclidean distance used everywhere in this module."""
     diff = others - point
     return np.sqrt(np.sum(diff * diff, axis=-1))
-
-
-def _graph(neighbor_idx: np.ndarray, neighbor_dist: np.ndarray) -> KnnGraph:
-    """Freeze neighbor lists and derive their deduplicated undirected edges."""
-    n, k = neighbor_idx.shape
-    neighbor_idx = np.ascontiguousarray(neighbor_idx)
-    neighbor_dist = np.ascontiguousarray(neighbor_dist)
-    src = np.repeat(np.arange(n, dtype=np.int64), k)
-    dst = neighbor_idx.ravel()
-    codes = np.minimum(src, dst) * n + np.maximum(src, dst)
-    codes, first = np.unique(codes, return_index=True)
-    edges = np.stack(np.divmod(codes, n), axis=1)
-    # (a-b)^2 == (b-a)^2 exactly, so the directed distance is the edge's.
-    weights = -neighbor_dist.ravel()[first] + 0.0
-
-    for arr in (neighbor_idx, neighbor_dist, edges, weights):
-        arr.setflags(write=False)
-    return KnnGraph(k, neighbor_idx, neighbor_dist, edges, weights)
 
 
 def build(ds: Dataset, k: int) -> KnnGraph:
@@ -100,7 +107,7 @@ def build(ds: Dataset, k: int) -> KnnGraph:
     if kept is not None and k <= kept.k:
         if k == kept.k:
             return kept
-        return _graph(kept.neighbor_idx[:, :k], kept.neighbor_dist[:, :k])
+        return KnnGraph(kept.neighbor_idx[:, :k], kept.neighbor_dist[:, :k])
     # Imported on first use: at module level it took about half a second of
     # `import osd`, paid also by commands that never build a graph.
     from scipy.spatial import cKDTree
@@ -144,7 +151,9 @@ def build(ds: Dataset, k: int) -> KnnGraph:
             flagged.append(rows[tie & (kq < m)])
         todo, kq = np.concatenate(flagged), min(m, 2 * kq)
 
-    graph = _graph(neighbor_idx, neighbor_dist)
+    neighbor_idx.setflags(write=False)
+    neighbor_dist.setflags(write=False)
+    graph = KnnGraph(neighbor_idx, neighbor_dist)
     # Dataset is frozen and its points read-only, so the graph stays valid.
     object.__setattr__(ds, "_knn", graph)
     return graph

@@ -105,6 +105,27 @@ class RunConfig:
         return self.k if self.k is not None else min(10, n - 1)
 
 
+def _is_real(value) -> bool:
+    return type(value) in (int, float)  # a JSON true or false is no number
+
+
+def _is_map(value, ok) -> bool:
+    return isinstance(value, dict) and all(map(ok, value.values()))
+
+
+# What json.loads must give for each report field besides config; None marks
+# a stage that did not run, and JSON object keys are always strings.
+_REPORT_FIELD_TYPES = {
+    **dict.fromkeys(("k", "n_edges", "knee_bin", "n_blocks", "n_invalid_pairs"),
+                    lambda v: v is None or type(v) is int),
+    **dict.fromkeys(("threshold", "g_const"), lambda v: v is None or _is_real(v)),
+    "block_masses": lambda v: type(v) is list and all(type(m) is int for m in v),
+    "warnings": lambda v: type(v) is list and all(type(w) is str for w in v),
+    "timings": lambda v: _is_map(v, _is_real),
+    "detector_results": lambda v: _is_map(v, lambda r: _is_map(r, _is_real)),
+}
+
+
 @dataclass(frozen=True)
 class RunReport:
     """The record of one run: transform diagnostics and detector results.
@@ -137,7 +158,7 @@ class RunReport:
     def from_json(cls, text: str) -> "RunReport":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also huge integers, deep nesting
             raise DataError(f"report is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise DataError("report must be a JSON object")
@@ -145,6 +166,9 @@ class RunReport:
             raise DataError(f"unsupported report schema: {raw.get('schema_version')}")
         if not isinstance(raw.get("config"), dict):
             raise DataError("report config must be a JSON object")
+        for name, ok in _REPORT_FIELD_TYPES.items():
+            if name in raw and not ok(raw[name]):
+                raise DataError(f"malformed report: {name} has the wrong type")
         try:  # the settings pass the same checks as flags and library calls
             return cls(**{**raw, "config": RunConfig(**raw["config"])})
         except (TypeError, ConfigError) as exc:  # a missing, unknown or refused field
@@ -184,7 +208,7 @@ def run_osd(
         if config.threshold is not None:
             threshold, knee_bin = config.threshold, None
         else:
-            knee = find_inflection(weight_histogram(graph))
+            knee = find_inflection(weight_histogram(graph.edge_weights, graph.n_objects))
             threshold, knee_bin = knee.threshold, knee.knee_bin
             if knee_bin is None:
                 warnings.append("histogram too coarse for knee detection; nothing pruned")

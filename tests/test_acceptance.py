@@ -104,7 +104,7 @@ def test_criterion_05_block_statistics_over_100_seeds():
     for seed in range(100):
         ds, labels = gen_clusters_outliers(2, 60, 6, 2, 30.0, seed)
         g = build(ds, 5)
-        part = divide(g, find_inflection(weight_histogram(g)).threshold)
+        part = divide(g, find_inflection(weight_histogram(g.edge_weights, g.n_objects)).threshold)
         fl = labels.flags
         pure_out, pure_norm = [], []
         for b, members in enumerate(blocks_of(part)):
@@ -215,7 +215,7 @@ def test_criterion_10_threshold_robustness():
     config = RunConfig(k=8, seed=25)
     prepared = prepare(ds, config)
     g = build(prepared, 8)
-    hist = weight_histogram(g)
+    hist = weight_histogram(g.edge_weights, g.n_objects)
     knee = find_inflection(hist)
     lo = hist.bin_edges[knee.knee_bin]
     hi = hist.bin_edges[knee.knee_bin + 1]

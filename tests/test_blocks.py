@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from osd.blocks import (
     BlockPartition,
@@ -12,36 +14,21 @@ from osd.blocks import (
 )
 from osd.dataset import Dataset
 from osd.errors import DataError
-from osd.knngraph import KnnGraph, build
+from osd.knngraph import build
 
 from oracles import blocks_of, flood_fill_components, histogram_recount
 
 
-def _graph_with_weights(n_objects: int, weights: list[float]) -> KnnGraph:
-    """Minimal graph carrying an explicit edge set (neighbors unused here)."""
-    e = len(weights)
-    edges = np.column_stack([np.zeros(e, dtype=np.int64), np.arange(1, e + 1)])
-    return KnnGraph(
-        k=1,
-        neighbor_idx=np.zeros((n_objects, 1), dtype=np.int64),
-        neighbor_dist=np.zeros((n_objects, 1)),
-        edges=edges,
-        edge_weights=np.array(weights),
-    )
-
-
 def test_histogram_uniform_weights_arithmetic():
     # 10 edges at -1..-10 among 100 objects: width 9*10/100, one per bin
-    g = _graph_with_weights(100, [-float(i) for i in range(1, 11)])
-    h = weight_histogram(g)
+    h = weight_histogram(-np.arange(1.0, 11.0), 100)
     np.testing.assert_allclose(np.diff(h.bin_edges), 0.9)
     assert len(h.probs) == 10
     np.testing.assert_allclose(h.probs, 0.01)
 
 
 def test_histogram_degenerate_all_equal():
-    g = _graph_with_weights(30, [-2.0] * 7)
-    h = weight_histogram(g)
+    h = weight_histogram(np.full(7, -2.0), 30)
     assert len(h.probs) == 2
     assert h.probs.tolist() == [0.0, 7 / 30]
     assert h.bin_edges[1] == -2.0  # the shared weight sits in the closed bin
@@ -51,7 +38,7 @@ def test_histogram_counts_match_recount_oracle():
     rng = np.random.default_rng(0)
     ds = Dataset(rng.normal(size=(80, 3)))
     g = build(ds, 4)
-    h = weight_histogram(g)
+    h = weight_histogram(g.edge_weights, g.n_objects)
     counts = histogram_recount(g.edge_weights, h.bin_edges)
     np.testing.assert_allclose(h.probs, counts / 80)
 
@@ -60,7 +47,7 @@ def test_histogram_covers_extremes():
     rng = np.random.default_rng(1)
     ds = Dataset(rng.normal(size=(55, 2)))
     g = build(ds, 3)
-    h = weight_histogram(g)
+    h = weight_histogram(g.edge_weights, g.n_objects)
     assert h.bin_edges[0] <= g.edge_weights.min()
     assert h.bin_edges[-1] >= g.edge_weights.max()
     # every edge lands in some bin
@@ -68,11 +55,8 @@ def test_histogram_covers_extremes():
 
 
 def test_histogram_requires_edges():
-    g = _graph_with_weights(10, [])
-    g = KnnGraph(g.k, g.neighbor_idx, g.neighbor_dist,
-                 np.empty((0, 2), dtype=np.int64), np.empty(0))
     with pytest.raises(DataError):
-        weight_histogram(g)
+        weight_histogram(np.empty(0), 10)
 
 
 def _hist_from_probs(probs: list[float]) -> WeightHistogram:
@@ -143,25 +127,47 @@ def test_divide_two_clusters_three_isolated():
     iso = np.array([[20.0, 30.0], [-25.0, -20.0], [60.0, 25.0]])
     ds = Dataset(np.vstack([c1, c2, iso]))
     g = build(ds, 5)
-    part = divide(g, find_inflection(weight_histogram(g)).threshold)
+    part = divide(g, find_inflection(weight_histogram(g.edge_weights, g.n_objects)).threshold)
     assert part.n_blocks == 5
     assert sorted(part.masses.tolist()) == [1, 1, 1, 30, 30]
     for i in (60, 61, 62):
         assert part.masses[part.assignment[i]] == 1
 
 
-def test_divide_matches_flood_fill_oracle():
-    rng = np.random.default_rng(4)
-    ds = Dataset(rng.normal(size=(60, 3)))
-    g = build(ds, 4)
-    thr = np.median(g.edge_weights)
-    part = divide(g, thr)
-    kept = g.edges[g.edge_weights >= thr]
-    comps = flood_fill_components(60, kept)
-    assert part.n_blocks == len(comps)
-    oracle_sets = {frozenset(c) for c in comps}
-    ours = {frozenset(map(int, b)) for b in blocks_of(part)}
-    assert ours == oracle_sets
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 40).flatmap(
+        lambda n: st.tuples(
+            st.integers(1, 4).flatmap(
+                lambda d: st.lists(
+                    st.lists(st.integers(-2, 2) | st.floats(-3, 3), min_size=d, max_size=d),
+                    min_size=n,
+                    max_size=n,
+                )
+            ),
+            st.integers(1, n - 1),
+        )
+    ),
+    st.sampled_from([0.0, 1e-12, 0.1, 1.0, 1e12]),
+)
+@example(([[0.0]] * 5, 2), 1.0)  # d=1, all zero
+@example(([[0.0], [1.0], [1.0], [3.0], [3.0], [4.0]], 2), 1.0)  # d=1, duplicates
+def test_divide_matches_flood_fill_oracle(case, scale):
+    rows, k = case
+    pts = np.array(rows, dtype=float) * scale
+    g = build(Dataset(pts), k)
+    w = g.edge_weights
+    quantiles = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
+    thresholds = [
+        *np.quantile(w, quantiles),
+        *np.quantile(w, quantiles, method="lower"),  # exactly on an edge weight
+        -math.inf, math.inf, 0.0, -0.0,
+        find_inflection(weight_histogram(w, g.n_objects)).threshold,
+    ]
+    for t in thresholds:
+        comps = flood_fill_components(len(pts), g.edges[w >= t])
+        ours = {frozenset(map(int, b)) for b in blocks_of(divide(g, t))}
+        assert ours == {frozenset(c) for c in comps}, t
 
 
 def test_partition_is_total_and_consistent():
@@ -207,7 +213,7 @@ def test_outlier_blocks_lighter_and_rarely_mixed():
 
         ds, labels = gen_clusters_outliers(2, 60, 6, 2, 30.0, seed)
         g = build(ds, 5)
-        part = divide(g, find_inflection(weight_histogram(g)).threshold)
+        part = divide(g, find_inflection(weight_histogram(g.edge_weights, g.n_objects)).threshold)
         fl = labels.flags
         pure_out, pure_norm = [], []
         for b, members in enumerate(blocks_of(part)):

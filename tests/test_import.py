@@ -6,7 +6,10 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
+
 import osd
+from osd.knngraph import build
 
 
 def test_import_stays_light():
@@ -68,6 +71,30 @@ def test_bench_wrap_sites_resolve(monkeypatch):
         module = importlib.import_module(module_name)
         for attr in attrs:
             assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_bench_graph_reads_resolve():
+    # bench/harness.py:layer_metrics reads these attributes of the graphs
+    # build returns (s.result.X) and of divide's graph argument (graph.X);
+    # a rename would break only traced benchmark runs.
+    harness = Path(__file__).resolve().parents[1] / "bench" / "harness.py"
+    func = next(
+        node for node in ast.walk(ast.parse(harness.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "layer_metrics"
+    )
+    names = {
+        node.attr
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and (
+            isinstance(node.value, ast.Name) and node.value.id == "graph"
+            or isinstance(node.value, ast.Attribute) and node.value.attr == "result"
+        )
+    }
+    assert {"neighbor_idx", "edges", "n_edges", "n_objects"} <= names
+    ds = osd.Dataset(np.random.default_rng(0).normal(size=(30, 2)))
+    for graph in (build(ds, 5), build(ds, 3)):  # fresh, then a prefix slice
+        for name in names:
+            assert getattr(graph, name) is not None, name
 
 
 def test_public_api_is_the_pipeline():

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from osd.blocks import divide
 from osd.dataset import Dataset
+from osd.detectors import knn_dist_scores, lof_scores
 from osd.errors import ConfigError
-from osd.knngraph import build
+from osd.knngraph import KnnGraph, build
+from osd.repulsion import find_invalid_neighbors
 
 from oracles import knn_oracle, knn_rows_oracle
 
@@ -229,3 +232,24 @@ def test_graph_shared_per_instance_never_by_content():
     for name in GRAPH_ARRAYS:
         assert not np.shares_memory(getattr(ga, name), getattr(gb, name))
     assert build(b, 3) is not build(a, 3)
+
+
+def test_edges_are_derived_only_where_read(monkeypatch):
+    # Deduplicating n*k directed pairs is the graph's one costly derivation;
+    # building, slicing, dividing, repulsion and the detectors never need it.
+    rng = np.random.default_rng(10)
+    ds = Dataset(rng.normal(size=(60, 3)))
+    g = build(ds, 5)
+    part = divide(g, np.quantile(g.edge_weights, 0.3))
+
+    def refuse(self):
+        raise AssertionError("undirected edges derived")
+
+    monkeypatch.setattr(KnnGraph, "_undirected", property(refuse))
+    prefix = build(ds, 3)
+    divide(prefix, -0.5)
+    find_invalid_neighbors(g, Dataset(ds.points * 2.0), part)
+    lof_scores(ds, 10)
+    knn_dist_scores(ds, 3)
+    with pytest.raises(AssertionError, match="derived"):
+        prefix.edges

@@ -245,6 +245,17 @@ def test_report_config_is_the_run_config_and_round_trips():
     assert json.loads(report.to_json())["config"]["detectors"] == ["lof"]
 
 
+@pytest.mark.parametrize("threshold", [-np.inf, np.inf])
+def test_report_with_infinite_threshold_round_trips(threshold):
+    ds, labels = ring_dataset(8)
+    config = RunConfig(k=5, threshold=threshold, detectors=("knn",))
+    prepared = prepare(ds, config)
+    out, _, report = run_osd(prepared, config)
+    report = evaluate(prepared, out, labels, config, report)
+    assert report.threshold == threshold
+    assert RunReport.from_json(report.to_json()) == report
+
+
 def test_report_rejects_unknown_schema():
     with pytest.raises(DataError):
         RunReport.from_json('{"schema_version": 99}')
@@ -263,6 +274,26 @@ def test_report_rejects_unknown_schema():
         '{"schema_version": 2, "config": {"k": 5.0}}',
         "[1]",
         "{not json",
+        pytest.param('{"schema_version": 2, "config": {}, "k": ' + "9" * 5000 + "}",
+                     id="k-of-5000-digits"),
+        pytest.param("[" * 100_000, id="nested-100000-deep"),
+        '{"schema_version": 2, "config": {}, "k": "abc", "block_masses": 5, "timings": [1]}',
+        '{"schema_version": 2, "config": {}, "k": "abc"}',
+        '{"schema_version": 2, "config": {}, "k": 5.0}',
+        '{"schema_version": 2, "config": {}, "n_edges": true}',
+        '{"schema_version": 2, "config": {}, "knee_bin": [3]}',
+        '{"schema_version": 2, "config": {}, "n_blocks": "7"}',
+        '{"schema_version": 2, "config": {}, "n_invalid_pairs": false}',
+        '{"schema_version": 2, "config": {}, "threshold": "-Infinity"}',
+        '{"schema_version": 2, "config": {}, "g_const": true}',
+        '{"schema_version": 2, "config": {}, "block_masses": 5}',
+        '{"schema_version": 2, "config": {}, "block_masses": [1, 2.5]}',
+        '{"schema_version": 2, "config": {}, "warnings": "one"}',
+        '{"schema_version": 2, "config": {}, "warnings": [1]}',
+        '{"schema_version": 2, "config": {}, "timings": [1]}',
+        '{"schema_version": 2, "config": {}, "timings": {"knngraph": "fast"}}',
+        '{"schema_version": 2, "config": {}, "detector_results": {"lof": 0.5}}',
+        '{"schema_version": 2, "config": {}, "detector_results": {"lof": {"auc_after": null}}}',
     ],
 )
 def test_report_from_json_rejects_malformed_input(text):

@@ -203,7 +203,7 @@ def test_repulsion_never_shrinks_outlier_normal_distance():
         ds, labels = gen_clusters_outliers(2, 60, 8, 2, 26.0, seed)
         ds = min_max_normalize(ds)
         g = build(ds, 6)
-        part = divide(g, find_inflection(weight_histogram(g)).threshold)
+        part = divide(g, find_inflection(weight_histogram(g.edge_weights, g.n_objects)).threshold)
         exploded, _ = explode(ds, part, g_const=constant_g(g))
         inv = find_invalid_neighbors(g, exploded, part)
         repelled = repel(exploded, part, inv)

@@ -20,7 +20,7 @@ def test_two_separated_clusters_divide_into_two_big_blocks():
     for seed in range(6):
         ds, labels = gen_clusters_outliers(2, 50, 0, 2, 20.0, seed)
         g = build(ds, 5)
-        part = divide(g, find_inflection(weight_histogram(g)).threshold)
+        part = divide(g, find_inflection(weight_histogram(g.edge_weights, g.n_objects)).threshold)
         masses = sorted(part.masses.tolist(), reverse=True)
         assert masses[0] + masses[1] >= 95
         assert all(m <= 2 for m in masses[2:])
