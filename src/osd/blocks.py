@@ -132,17 +132,20 @@ def divide(g: KnnGraph, threshold: float) -> BlockPartition:
     """
     # Imported on first use: at module level these two added 20-40 ms to
     # `import osd` (csgraph loads scipy.sparse.linalg), paid by every command.
-    from scipy.sparse import coo_matrix
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     # The directed pairs (i, neighbor) stand in for the deduplicated edges:
     # an edge survives iff either direction does (both carry the same
     # distance, and -d >= threshold is the IEEE test d <= -threshold), and
     # components of an undirected graph ignore repeated or reversed pairs.
-    rows, cols = np.nonzero(g.neighbor_dist <= -threshold)
-    ones = np.ones(len(rows), dtype=np.int8)
+    # Row i of the adjacency is row i's kept neighbors, in list order.
+    keep = g.neighbor_dist <= -threshold
     n = g.n_objects
-    adjacency = coo_matrix((ones, (rows, g.neighbor_idx[rows, cols])), shape=(n, n))
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    indices = g.neighbor_idx[keep]
+    ones = np.ones(len(indices), dtype=np.int8)
+    adjacency = csr_matrix((ones, indices, indptr), shape=(n, n))
     n_blocks, labels = connected_components(adjacency, directed=False)
     # Number blocks by first appearance, i.e. by smallest member index;
     # scipy does not document its label order.

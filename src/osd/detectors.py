@@ -49,6 +49,7 @@ def knn_dist_scores(ds: Dataset, k: int) -> np.ndarray:
 
 _N_TREES = 100
 _SUBSAMPLE = 256  # points per tree, capped at N
+_BLOCK = 1 << 14  # (tree, point) pairs descended at once; bounds the memory
 
 
 def _path_lengths(n: int) -> np.ndarray:
@@ -62,43 +63,134 @@ def _path_lengths(n: int) -> np.ndarray:
     return c
 
 
+def _grow_forest(
+    pts: np.ndarray, seed: int, height_limit: int, c: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Grow the trees in lockstep into one flat node table.
+
+    c holds c(m) for m up to the subsample size.  Nodes are numbered in
+    the order they are visited, so tree t's root is node t.  Returns
+    (feature, cut, child): node i sends point x on to child[2i] if
+    x[feature[i]] < cut[i], else to child[2i + 1].  A leaf is both its own
+    children, and its cut is its path length depth + c(leaf size).
+    """
+    n = len(pts)
+    subsample = len(c) - 1
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(_N_TREES)]
+    # Tree t's subsample is block t of `order`.  A node owns a slice of its
+    # tree's block, and splitting it reorders the slice into left | right.
+    order = np.concatenate([rng.choice(n, size=subsample, replace=False) for rng in rngs])
+
+    # stack[t, i] is a pending node of tree t: (its slot in child, start in
+    # order, size, depth).  A depth-first stack never holds more than
+    # height_limit + 1 nodes.  Roots have no slot.
+    stack = np.zeros((_N_TREES, height_limit + 1, 4), dtype=np.intp)
+    stack[:, 0, 1] = np.arange(_N_TREES) * subsample
+    stack[:, 0, 2] = subsample
+    top = np.ones(_N_TREES, dtype=np.intp)
+    n_nodes = 0
+    visited = []  # per step: (feature, cut, slot) of every popped node
+    while (live := np.flatnonzero(top)).size:
+        top[live] -= 1
+        slot, start, size, depth = stack[live, top[live]].T
+        feature = np.zeros(live.size, dtype=np.intp)
+        cut = depth + c[size]
+        grow = np.flatnonzero((size > 1) & (depth < height_limit))
+        if grow.size:
+            sizes = size[grow]
+            offsets = np.cumsum(sizes) - sizes
+            pos = np.repeat(start[grow] - offsets, sizes) + np.arange(offsets[-1] + sizes[-1])
+            sample = order[pos]
+            sub = pts.take(sample, axis=0)
+            lo = np.minimum.reduceat(sub, offsets)
+            hi = np.maximum.reduceat(sub, offsets)
+            del sub  # a step's widest array; the split reads one column of it
+            splittable = hi > lo
+            counts = splittable.sum(axis=1)
+            split = np.flatnonzero(counts)  # otherwise all of the node's points coincide
+            if split.size:
+                owners = live[grow[split]].tolist()
+                j = np.array([rngs[t].integers(k) for t, k in zip(owners, counts[split].tolist())])
+                u = np.array([rngs[t].random() for t in owners])
+                feat = (np.cumsum(splittable[split], axis=1) <= j[:, None]).sum(axis=1)
+                low = lo[split, feat]
+                with np.errstate(over="ignore"):  # reported below, as uniform does
+                    span = hi[split, feat] - low
+                if not np.isfinite(span).all():
+                    raise OverflowError("Range exceeds valid bounds")
+                # a node that does not split keeps every point on side 0
+                edge = np.full(grow.size, np.inf)
+                edge[split] = low + span * u
+                at = grow[split]
+                feature[at] = feat
+                cut[at] = edge[split]
+                side = pts[sample, np.repeat(feature[grow], sizes)] >= np.repeat(edge, sizes)
+                # keys stay below 2 * _N_TREES; int16 keys sort by radix
+                keys = np.repeat(np.arange(0, 2 * grow.size, 2, dtype=np.int16), sizes) + side
+                order[pos] = sample[np.argsort(keys, kind="stable")]
+                n_left = sizes[split] - np.add.reduceat(side, offsets)[split]
+                owner = live[at]
+                below = top[owner]
+                slots = 2 * (n_nodes + at)
+                stack[owner, below] = np.column_stack(
+                    [slots + 1, start[at] + n_left, sizes[split] - n_left, depth[at] + 1])
+                stack[owner, below + 1] = np.column_stack(
+                    [slots, start[at], n_left, depth[at] + 1])
+                top[owner] += 2
+        visited.append((feature, cut, slot.copy()))  # a view would keep all four columns
+        n_nodes += live.size
+
+    feature, cut, slot = (np.concatenate(col) for col in zip(*visited))
+    child = np.repeat(np.arange(n_nodes), 2)
+    child[slot[_N_TREES:]] = np.arange(_N_TREES, n_nodes)
+    return feature, cut, child
+
+
 def iforest_scores(ds: Dataset, seed: int = 0) -> np.ndarray:
     """Isolation-forest scores 2^(-E[h] / c(subsample)), in (0, 1).
 
-    100 trees, each grown on min(256, N) points drawn without replacement
-    and never stored: every point is scored while its tree grows.  A tree
-    grows depth-first from an explicit stack of (subsample indices, indices
-    of every dataset point reaching the node, depth), left child first, so
-    its generator makes the same draws in the same order as a recursive
-    build and the scores are the same.  At a leaf each reaching point's
-    path sum gains depth + c(leaf size).  Deterministic for a fixed seed:
-    each tree draws from its own generator spawned from one seed sequence.
+    100 trees, each grown on min(256, N) points drawn without replacement.
+    Each tree draws from its own generator, spawned from one seed sequence,
+    so the scores are deterministic for a fixed seed.  The draws pick rows
+    by index, so the scores are not permutation-equivariant: shuffling the
+    rows changes which points each tree samples.
+
+    The trees grow in lockstep.  Every tree keeps its own depth-first
+    stack, left child on top, and each step pops the next node of every
+    live tree.  The popped nodes' subsamples are concatenated, and their
+    per-node bounds, splittable features, thresholds and splits are
+    whole-array operations.  Only the two draws of a splitting node,
+    integers(#splittable) and random(), are made one node at a time, from
+    that tree's generator.  Since a tree only ever draws for its own nodes,
+    in its own depth-first order, every generator makes the same draws in
+    the same order as a tree grown recursively on its own, and the trees
+    are the same.  The threshold lo + (hi - lo) * random() is how
+    uniform(lo, hi) computes it, bit for bit; like uniform, a range beyond
+    the float range raises OverflowError.
+
+    All trees then descend together through one flat node table, over
+    blocks of points that bound the memory.  Each point's path sum adds its
+    leaf values, depth + c(leaf size), one tree at a time in tree order,
+    as a tree-by-tree build does: a pairwise sum over the trees would round
+    differently.
     """
-    n = ds.count
+    n, d = ds.points.shape
+    flat = ds.points.ravel()
     subsample = min(_SUBSAMPLE, n)
-    pts = ds.points
     height_limit = math.ceil(math.log2(subsample))
     c = _path_lengths(subsample)
+    feature, cut, child = _grow_forest(ds.points, seed, height_limit, c)
+    roots = np.arange(_N_TREES)[:, None]
     paths = np.zeros(n)
-    all_points = np.arange(n)
-    for child in np.random.SeedSequence(seed).spawn(_N_TREES):
-        rng = np.random.default_rng(child)
-        stack = [(rng.choice(n, size=subsample, replace=False), all_points, 0)]
-        while stack:
-            sample, reach, depth = stack.pop()
-            if len(sample) > 1 and depth < height_limit:
-                sub = pts[sample]
-                lo = sub.min(axis=0)
-                hi = sub.max(axis=0)
-                splittable = np.flatnonzero(hi > lo)
-                if splittable.size:  # otherwise all remaining points coincide
-                    feat = splittable[rng.integers(splittable.size)]
-                    s = rng.uniform(lo[feat], hi[feat])
-                    left = sub[:, feat] < s
-                    reach_left = pts[reach, feat] < s
-                    stack.append((sample[~left], reach[~reach_left], depth + 1))
-                    stack.append((sample[left], reach[reach_left], depth + 1))
-                    continue
-            paths[reach] += depth + c[len(sample)]
+    block = max(1, _BLOCK // _N_TREES)
+    for first in range(0, n, block):
+        last = min(first + block, n)
+        row_starts = np.arange(first * d, last * d, d)
+        at = np.repeat(roots, last - first, axis=1)  # (trees, points) block
+        for _ in range(height_limit):
+            x = flat.take(row_starts + feature.take(at))
+            at = child.take(2 * at + (x >= cut.take(at)))
+        for leaf in cut.take(at):  # one tree at a time, in tree order
+            paths[first:last] += leaf
     mean_path = paths / _N_TREES
     return 2.0 ** (-mean_path / c[subsample])

@@ -118,7 +118,8 @@ def _is_map(value, ok) -> bool:
 _REPORT_FIELD_TYPES = {
     **dict.fromkeys(("k", "n_edges", "knee_bin", "n_blocks", "n_invalid_pairs"),
                     lambda v: v is None or type(v) is int),
-    **dict.fromkeys(("threshold", "g_const"), lambda v: v is None or _is_real(v)),
+    **dict.fromkeys(("threshold", "g_const"),
+                    lambda v: v is None or (_is_real(v) and not math.isnan(v))),
     "block_masses": lambda v: type(v) is list and all(type(m) is int for m in v),
     "warnings": lambda v: type(v) is list and all(type(w) is str for w in v),
     "timings": lambda v: _is_map(v, _is_real),
@@ -162,8 +163,9 @@ class RunReport:
             raise DataError(f"report is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise DataError("report must be a JSON object")
-        if raw.get("schema_version") != REPORT_SCHEMA_VERSION:
-            raise DataError(f"unsupported report schema: {raw.get('schema_version')}")
+        version = raw.get("schema_version")
+        if type(version) is not int or version != REPORT_SCHEMA_VERSION:  # 2.0 == 2 too
+            raise DataError(f"unsupported report schema: {version!r}")
         if not isinstance(raw.get("config"), dict):
             raise DataError("report config must be a JSON object")
         for name, ok in _REPORT_FIELD_TYPES.items():

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osd.dataset import Dataset
 from osd.detectors import _path_lengths, iforest_scores, knn_dist_scores, lof_scores
@@ -153,6 +157,12 @@ _IFOREST_CASES = {
     "scaled_1e12": _SPREAD * 1e12,
     # a split value often lands exactly on a coordinate only a few ulps away
     "ulps_apart": 1.0 + np.random.default_rng(10).integers(4, size=(300, 2)) * 2.0**-52,
+    # trees that grow side by side finish after different numbers of nodes
+    "three_points": np.array([[0.0, 1.0], [2.0, 0.5], [2.5, 3.0]]),
+    # one feature: integers(1) draws nothing, and ties stop splits early
+    "d1_duplicates": np.round(np.random.default_rng(11).uniform(size=(200, 1)), 1),
+    # more points than the trees descend through at once
+    "many_points": np.random.default_rng(12).normal(size=(5000, 2)),
 }
 
 
@@ -161,3 +171,41 @@ _IFOREST_CASES = {
 def test_iforest_equals_tree_oracle_bitwise(case, seed):
     pts = _IFOREST_CASES[case]
     assert np.array_equal(iforest_scores(Dataset(pts), seed=seed), iforest_oracle(pts, seed))
+
+
+def test_iforest_range_beyond_float_raises_like_oracle():
+    # hi - lo overflows to inf, which Generator.uniform refuses
+    pts = np.array([[-1e308], [1e308], [0.0], [5.0]])
+    with pytest.raises(OverflowError):
+        iforest_scores(Dataset(pts), seed=0)
+    with pytest.raises(OverflowError):
+        iforest_oracle(pts, 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(2, 60).flatmap(
+        lambda n: st.integers(1, 4).flatmap(
+            lambda d: st.lists(
+                st.lists(st.floats(-3, 3), min_size=d, max_size=d), min_size=n, max_size=n
+            )
+        )
+    ),
+    st.sampled_from([0, 1, 3]),  # decimals kept: fewer force more ties
+    st.integers(0, 2**32 - 1),
+)
+def test_iforest_equals_tree_oracle_bitwise_property(rows, decimals, seed):
+    pts = np.round(np.array(rows), decimals)
+    assert np.array_equal(iforest_scores(Dataset(pts), seed=seed), iforest_oracle(pts, seed))
+
+
+def test_iforest_memory_stays_small_at_large_n():
+    # a (trees, N) float64 block alone would take 49 MiB here
+    ds = Dataset(np.random.default_rng(13).normal(size=(64_000, 5)))
+    tracemalloc.start()
+    try:
+        iforest_scores(ds, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

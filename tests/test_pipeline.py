@@ -285,6 +285,9 @@ def test_report_rejects_unknown_schema():
         '{"schema_version": 2, "config": {}, "n_blocks": "7"}',
         '{"schema_version": 2, "config": {}, "n_invalid_pairs": false}',
         '{"schema_version": 2, "config": {}, "threshold": "-Infinity"}',
+        '{"schema_version": 2.0, "config": {}}',
+        '{"schema_version": 2, "config": {}, "threshold": NaN}',
+        '{"schema_version": 2, "config": {}, "g_const": NaN}',
         '{"schema_version": 2, "config": {}, "g_const": true}',
         '{"schema_version": 2, "config": {}, "block_masses": 5}',
         '{"schema_version": 2, "config": {}, "block_masses": [1, 2.5]}',
