@@ -9,7 +9,11 @@ stored distance is recomputed with one canonical formula so results never
 depend on tree internals.  Candidates are ranked as whole arrays in row
 blocks that bound memory; rows whose k-th distance ties the candidate
 horizon query again, as blocks, with twice the candidates.  No row is
-re-ranked on its own, so duplicated rows cost linear time.
+re-ranked on its own, so duplicated rows cost linear time.  A pass of
+several blocks ranks them on one thread per CPU in the process's affinity
+mask, sharing the memory budget of one block between them.  Each row's list
+depends only on that row and each block writes only its own rows, so the
+output cannot depend on block size or scheduling.
 
 Under that total order a k-list is a prefix of every longer list.  The
 graph built on a Dataset is therefore kept on that instance and serves
@@ -21,6 +25,7 @@ from the lists on first read, so graphs nobody reads edges of never pay.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,8 +40,15 @@ __all__ = ["KnnGraph", "build"]
 # cannot rule out; generous versus float64 rounding, tiny versus data.
 _TIE_RTOL = 1e-12
 
-# Rows per block at k+2 candidates of one copy each; wider lists get fewer.
+# Rows in flight at k+2 candidates of one copy each, split across the
+# workers; wider lists get fewer.
 _BLOCK_ROWS = 4096
+
+# One worker per CPU this process may run on.
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity masks on this platform
+    _WORKERS = os.cpu_count() or 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +120,11 @@ def build(ds: Dataset, k: int) -> KnnGraph:
         if k == kept.k:
             return kept
         return KnnGraph(kept.neighbor_idx[:, :k], kept.neighbor_dist[:, :k])
-    # Imported on first use: at module level it took about half a second of
-    # `import osd`, paid also by commands that never build a graph.
+    # Imported on first use: at module level they took about half a second
+    # (scipy.spatial) and 6 ms of `import osd`, paid also by commands that
+    # never build a graph.
+    from concurrent.futures import ThreadPoolExecutor
+
     from scipy.spatial import cKDTree
 
     pts = ds.points
@@ -126,29 +141,37 @@ def build(ds: Dataset, k: int) -> KnnGraph:
     start = np.cumsum(copies) - copies
     m, tree = len(distinct), cKDTree(distinct)
     reps_max = min(k + 1, int(copies.max()))
-
     neighbor_idx, neighbor_dist = np.empty((n, k), np.int64), np.empty((n, k))
+
+    def rank(rows: np.ndarray, kq: int) -> np.ndarray:
+        """Write the lists of rows from kq candidates; return rows to widen."""
+        cand = tree.query(pts[rows], k=kq)[1].reshape(len(rows), kq)
+        dp = _distances(pts[rows, None], distinct[cand])
+        # A list uses <= k+1 copies of a point; absent copies sort as inf.
+        nth = np.arange(min(k + 1, int(copies[cand].max())))
+        idx = members.take(start[cand][..., None] + nth, mode="clip")
+        d = np.where(nth < copies[cand][..., None], dp[..., None], np.inf)
+        idx, d = idx.reshape(len(rows), -1), d.reshape(len(rows), -1)
+        # Self sorts last, so it never enters a list.
+        order = np.lexsort((idx, d, idx == rows[:, None]), axis=-1)[:, :k]
+        neighbor_idx[rows] = np.take_along_axis(idx, order, axis=-1)
+        neighbor_dist[rows] = np.take_along_axis(d, order, axis=-1)
+        # A tie reaching the candidate horizon: widen, unless all is in.
+        tie = neighbor_dist[rows, -1] >= dp.max(axis=1) * (1.0 - _TIE_RTOL)
+        return rows[tie & (kq < m)]
+
     # First k+2 points: self, the k neighbors and a sentinel for the horizon.
     todo, kq = np.arange(n), min(m, k + 2)
     while todo.size:
-        step = max(1, _BLOCK_ROWS * (k + 2) // (kq * reps_max))
-        flagged = []
-        for lo in range(0, todo.size, step):
-            rows = todo[lo : lo + step]
-            cand = tree.query(pts[rows], k=kq)[1].reshape(len(rows), kq)
-            dp = _distances(pts[rows, None], distinct[cand])
-            # A list uses <= k+1 copies of a point; absent copies sort as inf.
-            nth = np.arange(min(k + 1, int(copies[cand].max())))
-            idx = members.take(start[cand][..., None] + nth, mode="clip")
-            d = np.where(nth < copies[cand][..., None], dp[..., None], np.inf)
-            idx, d = idx.reshape(len(rows), -1), d.reshape(len(rows), -1)
-            # Self sorts last, so it never enters a list.
-            order = np.lexsort((idx, d, idx == rows[:, None]), axis=-1)[:, :k]
-            neighbor_idx[rows] = np.take_along_axis(idx, order, axis=-1)
-            neighbor_dist[rows] = np.take_along_axis(d, order, axis=-1)
-            # A tie reaching the candidate horizon: widen, unless all is in.
-            tie = neighbor_dist[rows, -1] >= dp.max(axis=1) * (1.0 - _TIE_RTOL)
-            flagged.append(rows[tie & (kq < m)])
+        step = max(1, _BLOCK_ROWS // _WORKERS * (k + 2) // (kq * reps_max))
+        blocks = [todo[lo : lo + step] for lo in range(0, todo.size, step)]
+        kqs = [kq] * len(blocks)
+        if len(blocks) == 1 or _WORKERS == 1:
+            flagged = list(map(rank, blocks, kqs))
+        else:
+            # map keeps block order, so the next pass's rows do too.
+            with ThreadPoolExecutor(_WORKERS) as pool:
+                flagged = list(pool.map(rank, blocks, kqs))
         todo, kq = np.concatenate(flagged), min(m, 2 * kq)
 
     neighbor_idx.setflags(write=False)

@@ -15,13 +15,12 @@ from osd.knngraph import build
 def test_import_stays_light():
     # scipy.stats alone takes over half a second to import, scipy.spatial
     # (imported where k-NN graphs are built) about as long, and
-    # scipy.sparse.csgraph (imported where blocks are divided) about 25 ms;
+    # scipy.sparse.csgraph (imported where blocks are divided) about 25 ms
+    # and concurrent.futures (where k-NN blocks are ranked) about 6 ms;
     # each would land in every command's start-up time.
     src = str(Path(osd.__file__).resolve().parents[1])
-    code = (
-        "import sys, osd; "
-        "assert not {'scipy.stats', 'scipy.spatial', 'scipy.sparse.csgraph'} & set(sys.modules)"
-    )
+    heavy = {"scipy.stats", "scipy.spatial", "scipy.sparse.csgraph", "concurrent.futures"}
+    code = f"import sys, osd; assert not {heavy!r} & set(sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 

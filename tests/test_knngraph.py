@@ -1,8 +1,13 @@
+import concurrent.futures
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from osd import knngraph
 from osd.blocks import divide
 from osd.dataset import Dataset
 from osd.detectors import knn_dist_scores, lof_scores
@@ -126,14 +131,42 @@ def test_k_out_of_range():
 
 
 
-@pytest.mark.parametrize("k", [1, 10, 20])
-def test_exact_at_scale_with_ties_across_row_blocks(k):
+def _rounded_grid():
     # A coarse grid gives heavy distance ties and many duplicate points.
     rng = np.random.default_rng(8)
-    pts = np.round(rng.normal(size=(10_500, 3)), 1)
+    return rng, np.round(rng.normal(size=(10_500, 3)), 1)
+
+
+def _heavy_duplicates():
+    # H = (0, 0) has 3000 copies.  A = (3, 4) and B = (-4, 3) are each
+    # exactly 5 from both H and P = (-1, 7), and P is 5 from both A and B.
+    # Shuffling interleaves the tied points' copies by index.
+    rng = np.random.default_rng(12)
+    tied = [([0.0, 0.0], 3000), ([3.0, 4.0], 15), ([-4.0, 3.0], 15),
+            ([-1.0, 7.0], 2)]
+    pts = np.vstack([rng.normal(20.0, 3.0, size=(6000, 2))]
+                    + [np.tile(p, (c, 1)) for p, c in tied])
+    return rng, tied, pts[rng.permutation(len(pts))]
+
+
+def _first_pass_task_edges(pts, k):
+    # Both sides of every row block the first pass hands to a worker: the
+    # rows-in-flight budget split across the workers, at k+2 candidates of
+    # up to k+1 byte-identical copies each (the most a k-list can use).
+    keys = pts.view(np.dtype((np.void, pts.itemsize * pts.shape[1]))).ravel()
+    reps = min(k + 1, int(np.unique(keys, return_counts=True)[1].max()))
+    step = max(1, knngraph._BLOCK_ROWS // knngraph._WORKERS * (k + 2) // ((k + 2) * reps))
+    return [b + s for b in range(step, len(pts), step) for s in (-1, 0)]
+
+
+@pytest.mark.parametrize("k", [1, 10, 20])
+def test_exact_at_scale_with_ties_across_row_blocks(k):
+    rng, pts = _rounded_grid()
     g = build(Dataset(pts), k)
-    # Both sides of every 4096-row block boundary, the ends, a random sample.
+    # Both sides of the 4096-row budget's multiples and of every block a
+    # worker ranks, the ends, a random sample.
     boundary = [b + s for b in (4096, 8192) for s in (-2, -1, 0, 1)]
+    boundary += _first_pass_task_edges(pts, k)
     rows = np.unique(np.r_[0, boundary, len(pts) - 1, rng.choice(len(pts), 60)])
     idx, dist = knn_rows_oracle(pts, rows, k)
     np.testing.assert_array_equal(g.neighbor_idx[rows], idx)
@@ -166,18 +199,11 @@ def test_signed_zeros_are_equal_values_with_different_bytes():
 
 @pytest.mark.parametrize("k", [1, 10, 20])
 def test_heavy_point_and_interleaved_copies_of_equidistant_points(k):
-    # H = (0, 0) has 3000 copies.  A = (3, 4) and B = (-4, 3) are each
-    # exactly 5 from both H and P = (-1, 7), and P is 5 from both A and B.
-    # Shuffling interleaves the tied points' copies by index.
-    rng = np.random.default_rng(12)
-    tied = [([0.0, 0.0], 3000), ([3.0, 4.0], 15), ([-4.0, 3.0], 15),
-            ([-1.0, 7.0], 2)]
-    pts = np.vstack([rng.normal(20.0, 3.0, size=(6000, 2))]
-                    + [np.tile(p, (c, 1)) for p, c in tied])
-    pts = pts[rng.permutation(len(pts))]
+    rng, tied, pts = _heavy_duplicates()
     g = build(Dataset(pts), k)
     rows_of = [np.flatnonzero(np.all(pts == p, axis=1)) for p, _ in tied]
     boundary = [b + s for b in (4096, 8192) for s in (-2, -1, 0, 1)]
+    boundary += _first_pass_task_edges(pts, k)
     rows = np.r_[boundary, rows_of[0][: k + 2], rows_of[0][-1], *rows_of[1:],
                  rng.choice(len(pts), 40)]
     _assert_rows_exact(g, pts, np.unique(rows))
@@ -189,6 +215,41 @@ def _assert_same_graph(a, b):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape
         assert x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.parametrize("k", [1, 10, 20])
+def test_pooled_build_equals_serial_and_leaves_no_thread(monkeypatch, k):
+    # Each block writes only its own rows and each row's list depends on
+    # nothing else, so the worker count cannot change a byte.  Frequent
+    # thread switches make a lost or misplaced row write likelier to show.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for pts in (_rounded_grid()[1], _heavy_duplicates()[2]):
+            graphs = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(knngraph, "_WORKERS", workers)
+                before = threading.active_count()
+                graphs.append(build(Dataset(pts), k))
+                assert threading.active_count() == before
+            for g in graphs[1:]:
+                _assert_same_graph(g, graphs[0])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_single_block_build_starts_no_thread(monkeypatch):
+    # Small inputs are one block; a pool would only add start-up cost.
+    def refuse(*args, **kwargs):
+        raise AssertionError("thread pool started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(knngraph, "_WORKERS", 4)
+    pts = np.random.default_rng(13).normal(size=(500, 3))
+    for k in (1, 10, 20):
+        _assert_rows_exact(build(Dataset(pts), k), pts, np.arange(0, 500, 7))
+    with pytest.raises(AssertionError, match="pool started"):
+        build(Dataset(np.zeros((20_000, 2))), 10)
 
 
 @settings(max_examples=80, deadline=None)
