@@ -71,9 +71,10 @@ class BlockPartition:
 def weight_histogram(weights: np.ndarray, n_objects: int) -> WeightHistogram:
     """Bin a graph's edge weights into equidistant intervals.
 
-    Bin width is (max - min) * 10 / N for N > 20 objects; smaller graphs
-    fall back to 2 bins, and an all-equal weight set gets a synthetic
-    2-bin range with every edge in the bin whose left edge is that weight.
+    Bin width is (max - min) * 10 / N over ceil(N / 10) bins at every N.
+    Below 21 objects that is fewer than 3 bins, so find_inflection prunes
+    nothing.  An all-equal weight set gets a synthetic 2-bin range with
+    every edge in the bin whose left edge is that weight.
     """
     if len(weights) == 0:
         raise DataError("graph has no edges to histogram")
@@ -82,13 +83,11 @@ def weight_histogram(weights: np.ndarray, n_objects: int) -> WeightHistogram:
 
     if wmax == wmin:
         edges = np.array([wmin - 0.5, wmin, wmin + 0.5])
-    elif n_objects > 20:
+    else:
         width = (wmax - wmin) * 10.0 / n_objects
         nbins = math.ceil(n_objects / 10)
         edges = wmin + width * np.arange(nbins + 1)
         edges[-1] = max(edges[-1], wmax)  # float guard: cover max exactly
-    else:
-        edges = np.array([wmin, wmin + (wmax - wmin) / 2.0, wmax])
 
     counts, _ = np.histogram(weights, bins=edges)
     return WeightHistogram(edges, counts / n_objects)

@@ -63,36 +63,28 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
 
 
-def _cmd_transform(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
+    """transform and eval: one run of the plugin; eval adds the detectors."""
     config = _config_from(args)
     ds, labels = load_csv(args.input, args.label_col)
+    evaluating = args.command == "eval"
+    if evaluating and labels is None:
+        raise DataError("eval requires --label-col")
     prepared = prepare(ds, config)
     result, partition, report = run_osd(prepared, config)
+    if evaluating:
+        report = evaluate(prepared, result, labels, config, report)
     if args.out_data:
         write_points_csv(args.out_data, result, labels)
-    if args.dump_blocks:
+    if getattr(args, "dump_blocks", None):  # a transform-only flag
         write_partition_csv(args.dump_blocks, partition)
     if args.out_report:
         Path(args.out_report).write_text(report.to_json())
-    print(
-        f"transformed {ds.count} objects: {report.n_blocks} blocks, "
-        f"threshold {report.threshold}, {report.n_invalid_pairs} invalid pairs"
-    )
-    return 0
-
-
-def _cmd_eval(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    ds, labels = load_csv(args.input, args.label_col)
-    if labels is None:
-        raise DataError("eval requires --label-col")
-    prepared = prepare(ds, config)
-    result, _, report = run_osd(prepared, config)
-    report = evaluate(prepared, result, labels, config, report)
-    if args.out_data:
-        write_points_csv(args.out_data, result, labels)
-    if args.out_report:
-        Path(args.out_report).write_text(report.to_json())
+    if not evaluating:
+        print(
+            f"transformed {ds.count} objects: {report.n_blocks} blocks, "
+            f"threshold {report.threshold}, {report.n_invalid_pairs} invalid pairs"
+        )
     for name, res in report.detector_results.items():
         print(
             f"{name}: AUC {res['auc_before']:.4f} -> {res['auc_after']:.4f}, "
@@ -125,13 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="relocate a dataset")
     _add_transform_flags(p)
     p.add_argument("--dump-blocks", default=None, help="write object_id,block_id CSV")
-    p.set_defaults(func=_cmd_transform)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("eval", help="before/after detector comparison")
     _add_transform_flags(p).add_argument(
         "--detector", dest="detectors", action="append", choices=DETECTOR_NAMES,
         help="repeatable; default: all")
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("synth", help="generate a benchmark CSV")
     p.add_argument("--clusters", type=int, default=2)

@@ -105,20 +105,23 @@ def load_csv(
     # utf-8-sig drops the byte-order mark some spreadsheet exports write, which
     # would otherwise make the first cell non-numeric and the first row a header.
     # Each row keeps its file line number for messages; blank lines are dropped.
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader if row]
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader if row]
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
+        raise DataError(f"cannot read {path}: {exc}") from None
     if not rows:
         raise DataError(f"empty file: {path}")
 
+    # Measured before any header is split off, so a header of another width is a ragged row.
+    width = len(rows[0][1])
     header: list[str] | None = None
     if any(not _is_number(cell) for cell in rows[0][1]):
         header = [cell.strip() for cell in rows[0][1]]
         rows = rows[1:]
         if not rows:
             raise DataError(f"no data rows in {path}")
-
-    width = len(rows[0][1])
     label_idx: int | None = None
     if label_column is not None:
         if isinstance(label_column, str) and not _is_number(label_column):

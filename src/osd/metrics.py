@@ -16,8 +16,6 @@ __all__ = ["EvalResult", "roc_auc", "average_precision", "evaluate_scores"]
 class EvalResult:
     auc: float
     ap: float
-    n_outliers: int
-    n_normals: int
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
@@ -75,11 +73,5 @@ def average_precision(scores: np.ndarray, labels: Labels) -> float:
 
 
 def evaluate_scores(scores: np.ndarray, labels: Labels) -> EvalResult:
-    """Bundle AUC and AP with the class counts."""
-    n_out = labels.n_outliers
-    return EvalResult(
-        auc=roc_auc(scores, labels),
-        ap=average_precision(scores, labels),
-        n_outliers=n_out,
-        n_normals=labels.count - n_out,
-    )
+    """Bundle AUC and AP."""
+    return EvalResult(auc=roc_auc(scores, labels), ap=average_precision(scores, labels))

@@ -30,31 +30,34 @@ def _place_centers(
             centers.append(cand)
             if len(centers) == n_clusters:
                 return np.array(centers)
-    raise RuntimeError(
+    raise ConfigError(
         f"could not place {n_clusters} centers {separation} apart "
         f"in {_MAX_TRIES} tries"
     )
 
 
-def _draw_outliers(
+def _add_outliers(
     rng: np.random.Generator,
+    normal: np.ndarray,
     n_outliers: int,
-    bbox_lo: np.ndarray,
-    bbox_hi: np.ndarray,
     centers: np.ndarray,
-    keepout: np.ndarray,
-) -> np.ndarray:
-    """Uniform box draws, rejected within each center's keepout radius."""
-    out = np.empty((n_outliers, len(bbox_lo)))
+    keepout: float | np.ndarray,
+) -> tuple[Dataset, Labels]:
+    """Append n_outliers uniform draws over normal's bounding box, labeled 1;
+    each draw is rejected within any center's keepout radius."""
+    lo, hi = normal.min(axis=0), normal.max(axis=0)
+    out = np.empty((n_outliers, normal.shape[1]))
     for i in range(n_outliers):
         for _ in range(_MAX_TRIES):
-            cand = rng.uniform(bbox_lo, bbox_hi)
+            cand = rng.uniform(lo, hi)
             if np.all(np.linalg.norm(centers - cand, axis=1) >= keepout):
                 out[i] = cand
                 break
         else:
-            raise RuntimeError(f"outlier {i}: rejection failed {_MAX_TRIES} times")
-    return out
+            raise ConfigError(f"outlier {i}: no draw outside the keepout in {_MAX_TRIES} tries")
+    flags = np.zeros(len(normal) + n_outliers, dtype=np.int8)
+    flags[len(normal):] = 1
+    return Dataset(np.vstack([normal, out])), Labels(flags)
 
 
 def gen_clusters_outliers(
@@ -70,7 +73,8 @@ def gen_clusters_outliers(
     Cluster centers are pairwise at least ``separation`` apart; outliers
     are drawn over the cluster points' bounding box and rejected within
     separation/4 of any center.  Rows are ordered cluster by cluster with
-    outliers last; labels mark outliers with 1.
+    outliers last; labels mark outliers with 1.  Raises ConfigError on bad
+    settings and when a rejection budget runs out.
     """
     if n_clusters < 1 or pts_per_cluster < 1 or n_outliers < 0 or dim < 1:
         raise ConfigError("counts and dim must be positive (outliers may be 0)")
@@ -81,20 +85,7 @@ def gen_clusters_outliers(
     clusters = [
         c + rng.standard_normal((pts_per_cluster, dim)) for c in centers
     ]
-    normal = np.vstack(clusters)
-    parts = [normal]
-    if n_outliers > 0:
-        keepout = np.full(n_clusters, separation / 4.0)
-        parts.append(
-            _draw_outliers(
-                rng, n_outliers, normal.min(axis=0), normal.max(axis=0),
-                centers, keepout,
-            )
-        )
-    pts = np.vstack(parts)
-    flags = np.zeros(len(pts), dtype=np.int8)
-    flags[len(normal):] = 1
-    return Dataset(pts), Labels(flags)
+    return _add_outliers(rng, np.vstack(clusters), n_outliers, centers, separation / 4.0)
 
 
 def gen_imbalance_series(
@@ -109,7 +100,8 @@ def gen_imbalance_series(
     at unit spread and widens the other by L^(1/dim).  Each dataset adds
     5% uniform outliers over the cluster bounding box, rejected within 5
     spreads of either center.  One derived seed per level keeps every
-    dataset reproducible independently of the others.
+    dataset reproducible independently of the others.  Raises ConfigError
+    on bad settings and when the outliers' rejection budget runs out.
     """
     if pts_per_cluster < 1 or dim < 1:
         raise ConfigError("pts_per_cluster and dim must be positive")
@@ -127,12 +119,5 @@ def gen_imbalance_series(
         sparse = centers[1] + spread * rng.standard_normal((pts_per_cluster, dim))
         normal = np.vstack([dense, sparse])
         n_out = max(1, round(0.05 * len(normal)))
-        outliers = _draw_outliers(
-            rng, n_out, normal.min(axis=0), normal.max(axis=0),
-            centers, np.array([5.0, 5.0 * spread]),
-        )
-        pts = np.vstack([normal, outliers])
-        flags = np.zeros(len(pts), dtype=np.int8)
-        flags[len(normal):] = 1
-        out.append((Dataset(pts), Labels(flags)))
+        out.append(_add_outliers(rng, normal, n_out, centers, np.array([5.0, 5.0 * spread])))
     return out

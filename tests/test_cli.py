@@ -176,6 +176,34 @@ def test_bad_synth_setting_exits_two(tmp_path):
     assert main(["synth", "--imbalance-level", "4", "--dim", "0", "--out", out]) == 2
 
 
+def test_infeasible_synth_setting_exits_two_without_output(tmp_path, capsys):
+    out = tmp_path / "X"
+    assert main(["synth", "--clusters", "1", "--pts-per-cluster", "1", "--outliers", "2",
+                 "--separation", "100", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, content", [
+    ("wide_header.csv", b"x,y,label\n1,2\n3,4\n5,6\n"),
+    ("narrow_header.csv", b"x,y\n1,0,0\n3,1,1\n5,0,0\n"),  # y would read column 1
+    ("latin1.csv", b"\xff\xfe1,2\n"),
+    ("a_directory", None),
+], ids=["wide-header", "narrow-header", "non-utf8", "directory"])
+@pytest.mark.parametrize("command", ["transform", "eval"])
+def test_bad_input_file_exits_three_without_traceback(tmp_path, capsys, name, content, command):
+    path = tmp_path / name
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    label = "y" if name == "narrow_header.csv" else "label"
+    assert main([command, "--input", str(path), "--label-col", label]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+
+
 def test_label_only_csv_is_data_error(tmp_path, capsys):
     f = tmp_path / "lab.csv"
     f.write_text("label\n0\n1\n0\n")

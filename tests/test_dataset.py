@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,34 @@ def test_messages_name_the_file_line_after_blank_lines(tmp_path, text, label, me
 def test_missing_file():
     with pytest.raises(DataError, match="no such file"):
         load_csv("/nonexistent/file.csv")
+
+
+@pytest.mark.parametrize(
+    "text, label, message",
+    [
+        ("x,y,label\n1,2\n3,4\n", "label", "ragged row 2: expected 3 cells, got 2"),
+        ("x,y\n1,0,0\n3,1,1\n", "y", "ragged row 2: expected 2 cells, got 3"),
+    ],
+    ids=["wide", "narrow"],
+)
+def test_header_of_another_width_is_a_ragged_row(tmp_path, text, label, message):
+    f = tmp_path / "pts.csv"
+    f.write_text(text)
+    with pytest.raises(DataError) as info:
+        load_csv(f, label)
+    assert str(info.value) == message
+
+
+def test_non_utf8_file_is_data_error(tmp_path):
+    f = tmp_path / "pts.csv"
+    f.write_bytes(b"\xff\xfe1,2\n")
+    with pytest.raises(DataError, match=re.escape(f"cannot read {f}:")):
+        load_csv(f)
+
+
+def test_directory_is_data_error(tmp_path):
+    with pytest.raises(DataError, match=re.escape(f"cannot read {tmp_path}:")):
+        load_csv(tmp_path)
 
 
 def test_ragged_row_rejected(tmp_path):

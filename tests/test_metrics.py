@@ -127,4 +127,3 @@ def test_evaluate_scores_bundle():
     scores = np.array([0.9, 0.2, 0.8, 0.1])
     res = evaluate_scores(scores, Labels(np.array([1, 0, 1, 0])))
     assert res.auc == 1.0 and res.ap == 1.0
-    assert res.n_outliers == 2 and res.n_normals == 2

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -116,3 +118,25 @@ def test_imbalance_series_deterministic_and_labeled():
     for (d1, l1), (d2, l2) in zip(pairs1, pairs2):
         np.testing.assert_array_equal(d1.points, d2.points)
         assert l1.n_outliers == l2.n_outliers > 0
+
+
+def _sha256(pairs):
+    h = hashlib.sha256()
+    for ds, labels in pairs:
+        h.update(ds.points.tobytes())
+        h.update(labels.flags.tobytes())
+    return h.hexdigest()
+
+
+# The benchmark's inputs come from these calls; a changed random stream
+# would change every benchmark digest, so the outputs are pinned here.
+@pytest.mark.parametrize("make, digest", [
+    (lambda: [gen_clusters_outliers(3, 158, 26, 3, 28.0, s) for s in range(10)],
+     "4b0d4271f77fb277ea7e30ec9996289c3147cccc65c3cfa12a97d0f63492dbc1"),
+    (lambda: gen_imbalance_series([1, 2, 4, 8, 12], seed=0),
+     "a03e2c2d63c89a7a74acd9ee8a0f7b0d9ca6c8566add6f449030726c823c8c0c"),
+    (lambda: [gen_clusters_outliers(3, 5066, 802, 5, 30.0, 0)],
+     "e641157395447478694b7baa36302e41f33cd4ee575bb0a6cfa144353b6cd226"),
+], ids=["sweep-clusters", "imbalance-series", "probe-16k"])
+def test_generator_outputs_are_pinned(make, digest):
+    assert _sha256(make()) == digest
