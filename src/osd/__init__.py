@@ -16,7 +16,7 @@ from .blocks import BlockPartition
 from .dataset import Dataset, Labels, load_csv, min_max_normalize
 from .detectors import iforest_scores, knn_dist_scores, lof_scores
 from .errors import ConfigError, DataError
-from .metrics import EvalResult, average_precision, evaluate_scores, roc_auc
+from .metrics import average_precision, evaluate_scores, roc_auc
 from .pipeline import RunConfig, RunReport, evaluate, prepare, run_osd
 from .synth import gen_clusters_outliers, gen_imbalance_series
 
@@ -27,7 +27,6 @@ __all__ = [
     "ConfigError",
     "DataError",
     "Dataset",
-    "EvalResult",
     "Labels",
     "RunConfig",
     "RunReport",

@@ -18,34 +18,7 @@ import numpy as np
 from .errors import DataError
 from .knngraph import KnnGraph
 
-__all__ = [
-    "WeightHistogram",
-    "InflectionResult",
-    "BlockPartition",
-    "weight_histogram",
-    "find_inflection",
-    "divide",
-]
-
-
-@dataclass(frozen=True, eq=False)
-class WeightHistogram:
-    """Equidistant histogram of edge weights.
-
-    probs[g] is the number of edge weights falling in bin g divided by the
-    number of OBJECTS, not edges, so the values need not sum to 1; only the
-    curve's shape matters downstream.  Intermediate bins are half-open
-    [a, b); the last bin is closed on the right.
-    """
-
-    bin_edges: np.ndarray
-    probs: np.ndarray
-
-
-@dataclass(frozen=True)
-class InflectionResult:
-    threshold: float
-    knee_bin: int | None  # None when there are too few bins to detect a knee
+__all__ = ["BlockPartition", "weight_histogram", "find_inflection", "divide"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,19 +41,21 @@ class BlockPartition:
         return self.assignment.shape[0]
 
 
-def weight_histogram(weights: np.ndarray, n_objects: int) -> WeightHistogram:
+def weight_histogram(weights: np.ndarray, n_objects: int) -> tuple[np.ndarray, np.ndarray]:
     """Bin a graph's edge weights into equidistant intervals.
 
-    Bin width is (max - min) * 10 / N over ceil(N / 10) bins at every N.
+    Returns (probs, bin_edges) in np.histogram's order.  probs[g] is the
+    number of edge weights in bin g divided by the number of OBJECTS, not
+    edges, so the values need not sum to 1; only the curve's shape matters
+    downstream.  Bins are (max - min) * 10 / N wide, ceil(N / 10) of them at
+    every N; intermediate bins are half-open [a, b), the last one closed.
     Below 21 objects that is fewer than 3 bins, so find_inflection prunes
     nothing.  An all-equal weight set gets a synthetic 2-bin range with
     every edge in the bin whose left edge is that weight.
     """
     if len(weights) == 0:
         raise DataError("graph has no edges to histogram")
-    wmin = float(weights.min())
-    wmax = float(weights.max())
-
+    wmin, wmax = float(weights.min()), float(weights.max())
     if wmax == wmin:
         edges = np.array([wmin - 0.5, wmin, wmin + 0.5])
     else:
@@ -90,10 +65,10 @@ def weight_histogram(weights: np.ndarray, n_objects: int) -> WeightHistogram:
         edges[-1] = max(edges[-1], wmax)  # float guard: cover max exactly
 
     counts, _ = np.histogram(weights, bins=edges)
-    return WeightHistogram(edges, counts / n_objects)
+    return counts / n_objects, edges
 
 
-def find_inflection(h: WeightHistogram) -> InflectionResult:
+def find_inflection(probs: np.ndarray, bin_edges: np.ndarray) -> tuple[float, int | None]:
     """Locate the knee of the weight-probability curve.
 
     Smooths probs with a 3-bin moving average, then maximizes the discrete
@@ -101,26 +76,26 @@ def find_inflection(h: WeightHistogram) -> InflectionResult:
     most-negative-weight side; ties pick the smallest g.  The scan stops at
     the smoothed curve's peak: the knee of interest sits on the rising
     flank, and the decelerating downslope past the mode can fake a large
-    positive curvature near the right boundary.  Returns the left edge of
-    the winning bin.  With fewer than 3 bins there is no interior bin, so
-    the minimum weight is returned (prunes nothing).
+    positive curvature near the right boundary.  Returns (threshold,
+    knee_bin): the left edge of the winning bin and its index.  With fewer
+    than 3 bins there is no interior bin, so it returns the minimum weight
+    (prunes nothing) and knee_bin None.
     """
-    p = h.probs
-    if len(p) < 3:
-        return InflectionResult(float(h.bin_edges[0]), None)
+    if len(probs) < 3:
+        return float(bin_edges[0]), None
 
-    sm = np.empty_like(p)
-    sm[0] = (p[0] + p[1]) / 2.0
-    sm[-1] = (p[-2] + p[-1]) / 2.0
-    sm[1:-1] = (p[:-2] + p[1:-1] + p[2:]) / 3.0
+    sm = np.empty_like(probs)
+    sm[0] = (probs[0] + probs[1]) / 2.0
+    sm[-1] = (probs[-2] + probs[-1]) / 2.0
+    sm[1:-1] = (probs[:-2] + probs[1:-1] + probs[2:]) / 3.0
 
     d2 = sm[2:] - 2.0 * sm[1:-1] + sm[:-2]
-    last = min(int(np.argmax(sm)), len(p) - 2)  # D(g) exists for g <= nbins-2
+    last = min(int(np.argmax(sm)), len(probs) - 2)  # D(g) exists for g <= nbins-2
     if last < 1:
         knee = 1  # curve peaks at the first bin; fall back to minimal pruning
     else:
         knee = 1 + int(np.argmax(d2[:last]))  # first max wins: smallest g
-    return InflectionResult(float(h.bin_edges[knee]), knee)
+    return float(bin_edges[knee]), knee
 
 
 def divide(g: KnnGraph, threshold: float) -> BlockPartition:

@@ -133,7 +133,10 @@ def load_csv(
                 raise DataError(f"label column {label_column!r} not found in header")
             label_idx = header.index(label_column)
         else:
-            index = float(label_column)
+            try:
+                index = float(label_column)
+            except OverflowError:  # an int beyond the float range
+                raise DataError("label column index out of range") from None
             if not index.is_integer():
                 raise DataError(f"label column index {label_column!r} is not an integer")
             label_idx = int(index)
@@ -151,6 +154,13 @@ def load_csv(
                 raise DataError(
                     f"non-numeric cell {cell!r} at row {line}, column {c + 1}"
                 ) from None
+
+    bad = ~np.isfinite(values)
+    if label_idx is not None:
+        bad[:, label_idx] = False  # a label cell fails the 0-or-1 check below
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise DataError(f"non-finite cell {rows[r][1][c]!r} at row {rows[r][0]}, column {c + 1}")
 
     if label_idx is None:
         return Dataset(values), None

@@ -2,20 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import Labels
 from .errors import DataError
 
-__all__ = ["EvalResult", "roc_auc", "average_precision", "evaluate_scores"]
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    auc: float
-    ap: float
+__all__ = ["roc_auc", "average_precision", "evaluate_scores"]
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
@@ -72,6 +64,6 @@ def average_precision(scores: np.ndarray, labels: Labels) -> float:
     return float(precision_at[hits].sum() / n_out)
 
 
-def evaluate_scores(scores: np.ndarray, labels: Labels) -> EvalResult:
-    """Bundle AUC and AP."""
-    return EvalResult(auc=roc_auc(scores, labels), ap=average_precision(scores, labels))
+def evaluate_scores(scores: np.ndarray, labels: Labels) -> tuple[float, float]:
+    """(AUC, AP) of one score vector."""
+    return roc_auc(scores, labels), average_precision(scores, labels)

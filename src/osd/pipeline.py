@@ -100,13 +100,15 @@ class RunConfig:
         for name in self.detectors:
             if name not in DETECTOR_NAMES:
                 raise ConfigError(f"unknown detector {name!r}")
+        if len(set(self.detectors)) != len(self.detectors):
+            raise ConfigError(f"detectors must not repeat a name: {self.detectors!r}")
 
     def resolve_k(self, n: int) -> int:
         return self.k if self.k is not None else min(10, n - 1)
 
 
 def _is_real(value) -> bool:
-    return type(value) in (int, float)  # a JSON true or false is no number
+    return type(value) in (int, float) and value == value  # not a JSON bool, not NaN
 
 
 def _is_map(value, ok) -> bool:
@@ -118,8 +120,7 @@ def _is_map(value, ok) -> bool:
 _REPORT_FIELD_TYPES = {
     **dict.fromkeys(("k", "n_edges", "knee_bin", "n_blocks", "n_invalid_pairs"),
                     lambda v: v is None or type(v) is int),
-    **dict.fromkeys(("threshold", "g_const"),
-                    lambda v: v is None or (_is_real(v) and not math.isnan(v))),
+    **dict.fromkeys(("threshold", "g_const"), lambda v: v is None or _is_real(v)),
     "block_masses": lambda v: type(v) is list and all(type(m) is int for m in v),
     "warnings": lambda v: type(v) is list and all(type(w) is str for w in v),
     "timings": lambda v: _is_map(v, _is_real),
@@ -210,8 +211,8 @@ def run_osd(
         if config.threshold is not None:
             threshold, knee_bin = config.threshold, None
         else:
-            knee = find_inflection(weight_histogram(graph.edge_weights, graph.n_objects))
-            threshold, knee_bin = knee.threshold, knee.knee_bin
+            threshold, knee_bin = find_inflection(
+                *weight_histogram(graph.edge_weights, graph.n_objects))
             if knee_bin is None:
                 warnings.append("histogram too coarse for knee detection; nothing pruned")
         partition = divide(graph, threshold)
@@ -290,15 +291,11 @@ def evaluate(
     timings: dict[str, float] = {}
     for name in config.detectors:
         t0 = time.perf_counter()
-        before_res = evaluate_scores(_run_detector(name, before, config), labels)
-        after_res = evaluate_scores(_run_detector(name, after, config), labels)
+        auc_before, ap_before = evaluate_scores(_run_detector(name, before, config), labels)
+        auc_after, ap_after = evaluate_scores(_run_detector(name, after, config), labels)
         timings[name] = time.perf_counter() - t0
-        results[name] = {
-            "auc_before": before_res.auc,
-            "ap_before": before_res.ap,
-            "auc_after": after_res.auc,
-            "ap_after": after_res.ap,
-        }
+        results[name] = {"auc_before": auc_before, "ap_before": ap_before,
+                         "auc_after": auc_after, "ap_after": ap_after}
     base = report or RunReport(config)
     return replace(base, detector_results=results, timings={**base.timings, **timings})
 

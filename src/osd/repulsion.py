@@ -71,7 +71,9 @@ def repel(
     Each block's resultant is the sum of the forces on its members, taken
     in (g, p) order.  Translation is the squared resultant over squared
     mass, with the same sign convention as the explosion displacement and
-    no T factor.  Blocks with a zero resultant do not move.
+    no T factor.  Blocks with a zero resultant do not move.  Under
+    sign_mode "literal" direction_mode has no effect: flipping every force
+    flips each resultant, whose components are then squared.
     """
     pts = exploded_ds.points
     a = partition.assignment

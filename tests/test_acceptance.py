@@ -104,7 +104,7 @@ def test_criterion_05_block_statistics_over_100_seeds():
     for seed in range(100):
         ds, labels = gen_clusters_outliers(2, 60, 6, 2, 30.0, seed)
         g = build(ds, 5)
-        part = divide(g, find_inflection(weight_histogram(g.edge_weights, g.n_objects)).threshold)
+        part = divide(g, find_inflection(*weight_histogram(g.edge_weights, g.n_objects))[0])
         fl = labels.flags
         pure_out, pure_norm = [], []
         for b, members in enumerate(blocks_of(part)):
@@ -215,10 +215,10 @@ def test_criterion_10_threshold_robustness():
     config = RunConfig(k=8, seed=25)
     prepared = prepare(ds, config)
     g = build(prepared, 8)
-    hist = weight_histogram(g.edge_weights, g.n_objects)
-    knee = find_inflection(hist)
-    lo = hist.bin_edges[knee.knee_bin]
-    hi = hist.bin_edges[knee.knee_bin + 1]
+    probs, bin_edges = weight_histogram(g.edge_weights, g.n_objects)
+    _, knee_bin = find_inflection(probs, bin_edges)
+    lo = bin_edges[knee_bin]
+    hi = bin_edges[knee_bin + 1]
     o = labels.flags == 1
     n = labels.flags == 0
     before = cdist(prepared.points[o], prepared.points[n]).min()

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from osd.blocks import (
-    BlockPartition,
-    WeightHistogram,
-    divide,
-    find_inflection,
-    weight_histogram,
-)
+from osd.blocks import BlockPartition, divide, find_inflection, weight_histogram
 from osd.dataset import Dataset
 from osd.errors import DataError
 from osd.knngraph import build
@@ -21,37 +15,37 @@ from oracles import blocks_of, flood_fill_components, histogram_recount
 
 def test_histogram_uniform_weights_arithmetic():
     # 10 edges at -1..-10 among 100 objects: width 9*10/100, one per bin
-    h = weight_histogram(-np.arange(1.0, 11.0), 100)
-    np.testing.assert_allclose(np.diff(h.bin_edges), 0.9)
-    assert len(h.probs) == 10
-    np.testing.assert_allclose(h.probs, 0.01)
+    probs, bin_edges = weight_histogram(-np.arange(1.0, 11.0), 100)
+    np.testing.assert_allclose(np.diff(bin_edges), 0.9)
+    assert len(probs) == 10
+    np.testing.assert_allclose(probs, 0.01)
 
 
 def test_histogram_degenerate_all_equal():
-    h = weight_histogram(np.full(7, -2.0), 30)
-    assert len(h.probs) == 2
-    assert h.probs.tolist() == [0.0, 7 / 30]
-    assert h.bin_edges[1] == -2.0  # the shared weight sits in the closed bin
+    probs, bin_edges = weight_histogram(np.full(7, -2.0), 30)
+    assert len(probs) == 2
+    assert probs.tolist() == [0.0, 7 / 30]
+    assert bin_edges[1] == -2.0  # the shared weight sits in the closed bin
 
 
 def test_histogram_counts_match_recount_oracle():
     rng = np.random.default_rng(0)
     ds = Dataset(rng.normal(size=(80, 3)))
     g = build(ds, 4)
-    h = weight_histogram(g.edge_weights, g.n_objects)
-    counts = histogram_recount(g.edge_weights, h.bin_edges)
-    np.testing.assert_allclose(h.probs, counts / 80)
+    probs, bin_edges = weight_histogram(g.edge_weights, g.n_objects)
+    counts = histogram_recount(g.edge_weights, bin_edges)
+    np.testing.assert_allclose(probs, counts / 80)
 
 
 def test_histogram_covers_extremes():
     rng = np.random.default_rng(1)
     ds = Dataset(rng.normal(size=(55, 2)))
     g = build(ds, 3)
-    h = weight_histogram(g.edge_weights, g.n_objects)
-    assert h.bin_edges[0] <= g.edge_weights.min()
-    assert h.bin_edges[-1] >= g.edge_weights.max()
+    probs, bin_edges = weight_histogram(g.edge_weights, g.n_objects)
+    assert bin_edges[0] <= g.edge_weights.min()
+    assert bin_edges[-1] >= g.edge_weights.max()
     # every edge lands in some bin
-    assert h.probs.sum() * 55 == pytest.approx(g.n_edges, abs=1e-9)
+    assert probs.sum() * 55 == pytest.approx(g.n_edges, abs=1e-9)
 
 
 def test_histogram_requires_edges():
@@ -59,46 +53,43 @@ def test_histogram_requires_edges():
         weight_histogram(np.empty(0), 10)
 
 
-def _hist_from_probs(probs: list[float]) -> WeightHistogram:
+def _hist_from_probs(probs: list[float]) -> tuple[np.ndarray, np.ndarray]:
     edges = -10.0 + np.arange(len(probs) + 1, dtype=float)
-    return WeightHistogram(edges, np.array(probs))
+    return np.array(probs), edges
 
 
 def test_inflection_flat_curve_falls_back_to_first_interior_bin():
-    h = _hist_from_probs([0.2] * 6)
-    res = find_inflection(h)
-    assert res.knee_bin == 1
-    assert res.threshold == h.bin_edges[1]
+    probs, bin_edges = _hist_from_probs([0.2] * 6)
+    threshold, knee_bin = find_inflection(probs, bin_edges)
+    assert knee_bin == 1
+    assert threshold == bin_edges[1]
 
 
 def test_inflection_two_regime_curve():
-    h = _hist_from_probs([0.001, 0.001, 0.002, 0.05, 0.2, 0.4])
+    p, bin_edges = _hist_from_probs([0.001, 0.001, 0.002, 0.05, 0.2, 0.4])
     # independent recomputation of the smoothed second difference
-    p = h.probs
     sm = [(p[0] + p[1]) / 2] + [
         (p[i - 1] + p[i] + p[i + 1]) / 3 for i in range(1, 5)
     ] + [(p[4] + p[5]) / 2]
     d2 = [sm[g + 1] - 2 * sm[g] + sm[g - 1] for g in range(1, 5)]
     expect = 1 + int(np.argmax(d2))
-    res = find_inflection(h)
-    assert res.knee_bin == expect == 3  # the 0.002 -> 0.05 jump
-    assert res.threshold == h.bin_edges[3]
+    threshold, knee_bin = find_inflection(p, bin_edges)
+    assert knee_bin == expect == 3  # the 0.002 -> 0.05 jump
+    assert threshold == bin_edges[3]
 
 
 def test_inflection_too_few_bins_prunes_nothing():
-    h = WeightHistogram(np.array([-3.0, -2.0, -1.0]), np.array([0.1, 0.5]))
-    res = find_inflection(h)
-    assert res.threshold == -3.0
-    assert res.knee_bin is None
+    threshold, knee_bin = find_inflection(np.array([0.1, 0.5]), np.array([-3.0, -2.0, -1.0]))
+    assert threshold == -3.0
+    assert knee_bin is None
 
 
 def test_inflection_ignores_post_peak_curvature():
     # the decelerating downslope after the mode shows a curvature 0.7017
     # at bin 6, just above the rising flank's 0.7 at bin 2; the knee must
     # stay on the rising side
-    h = _hist_from_probs([0.01, 0.01, 0.02, 0.3, 2.4, 0.3, 0.05, 0.04])
-    res = find_inflection(h)
-    assert res.knee_bin == 2
+    _, knee_bin = find_inflection(*_hist_from_probs([0.01, 0.01, 0.02, 0.3, 2.4, 0.3, 0.05, 0.04]))
+    assert knee_bin == 2
 
 
 def test_divide_threshold_below_min_keeps_full_components():
@@ -127,7 +118,7 @@ def test_divide_two_clusters_three_isolated():
     iso = np.array([[20.0, 30.0], [-25.0, -20.0], [60.0, 25.0]])
     ds = Dataset(np.vstack([c1, c2, iso]))
     g = build(ds, 5)
-    part = divide(g, find_inflection(weight_histogram(g.edge_weights, g.n_objects)).threshold)
+    part = divide(g, find_inflection(*weight_histogram(g.edge_weights, g.n_objects))[0])
     assert part.n_blocks == 5
     assert sorted(part.masses.tolist()) == [1, 1, 1, 30, 30]
     for i in (60, 61, 62):
@@ -162,7 +153,7 @@ def test_divide_matches_flood_fill_oracle(case, scale):
         *np.quantile(w, quantiles),
         *np.quantile(w, quantiles, method="lower"),  # exactly on an edge weight
         -math.inf, math.inf, 0.0, -0.0,
-        find_inflection(weight_histogram(w, g.n_objects)).threshold,
+        find_inflection(*weight_histogram(w, g.n_objects))[0],
     ]
     for t in thresholds:
         comps = flood_fill_components(len(pts), g.edges[w >= t])
@@ -213,7 +204,7 @@ def test_outlier_blocks_lighter_and_rarely_mixed():
 
         ds, labels = gen_clusters_outliers(2, 60, 6, 2, 30.0, seed)
         g = build(ds, 5)
-        part = divide(g, find_inflection(weight_histogram(g.edge_weights, g.n_objects)).threshold)
+        part = divide(g, find_inflection(*weight_histogram(g.edge_weights, g.n_objects))[0])
         fl = labels.flags
         pure_out, pure_norm = [], []
         for b, members in enumerate(blocks_of(part)):

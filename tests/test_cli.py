@@ -150,6 +150,13 @@ def test_bad_explosion_setting_exits_two_before_reading_input():
         assert main(["transform", "--input", "/no/such.csv", flag, value]) == 2
 
 
+def test_repeated_detector_exits_two_before_reading_input(capsys):
+    argv = ["eval", "--input", "/no/such.csv", "--detector", "lof", "--detector", "lof"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "repeat" in err
+
+
 @pytest.mark.parametrize("command, flag", [
     ("transform", "--out-report"), ("transform", "--out-data"),
     ("transform", "--dump-blocks"), ("eval", "--out-report"),
@@ -190,7 +197,13 @@ def test_infeasible_synth_setting_exits_two_without_output(tmp_path, capsys):
     ("narrow_header.csv", b"x,y\n1,0,0\n3,1,1\n5,0,0\n"),  # y would read column 1
     ("latin1.csv", b"\xff\xfe1,2\n"),
     ("a_directory", None),
-], ids=["wide-header", "narrow-header", "non-utf8", "directory"])
+    ("empty.csv", b""),
+    ("header_only.csv", b"x,y,label\n"),
+    ("no_header.csv", b"1,2,0\n3,4,1\n"),
+    ("no_label_name.csv", b"x,y,z\n1,2,0\n3,4,1\n"),
+    ("nan_cell.csv", b"x,y,label\n1,2,0\n3,nan,1\n"),
+], ids=["wide-header", "narrow-header", "non-utf8", "directory", "empty", "header-only",
+        "no-header", "label-not-in-header", "nan-cell"])
 @pytest.mark.parametrize("command", ["transform", "eval"])
 def test_bad_input_file_exits_three_without_traceback(tmp_path, capsys, name, content, command):
     path = tmp_path / name

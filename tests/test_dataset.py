@@ -61,13 +61,12 @@ def test_fractional_label_index_rejected(tmp_path):
 
 
 def test_array_holders_compare_by_identity():
-    from osd.blocks import divide, weight_histogram
+    from osd.blocks import divide
     from osd.knngraph import build
 
     ds = Dataset(np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]))
     g = build(ds, 1)
-    holders = (ds, Labels(np.array([0, 1, 0])), g, divide(g, -1.5),
-               weight_histogram(g.edge_weights, g.n_objects))
+    holders = (ds, Labels(np.array([0, 1, 0])), g, divide(g, -1.5))
     for obj in holders:
         assert obj == obj and hash(obj) == hash(obj)
         assert obj != dataclasses.replace(obj)  # equal content, another object
@@ -87,6 +86,10 @@ def test_non_numeric_cell_names_row(tmp_path):
         ("x,y\n1,0\n\nabc,3", None, "non-numeric cell 'abc' at row 4, column 1"),
         ("1,0\n\n\n2", None, "ragged row 4: expected 2 cells, got 1"),
         ("x,y\n1,0\n\n2,2\n", "y", "label value 2.0 at row 4 is not 0 or 1"),
+        ("x,y\n1,2\n\n3,nan\n", None, "non-finite cell 'nan' at row 4, column 2"),
+        ("1,0\n\n-inf,1\n", None, "non-finite cell '-inf' at row 3, column 1"),
+        ("x,y,label\n1,0,1\n\n2, inf,0\n", "label", "non-finite cell ' inf' at row 4, column 2"),
+        ("x,label\n\n1,nan\n2,0\n", "label", "label value nan at row 3 is not 0 or 1"),
     ],
 )
 def test_messages_name_the_file_line_after_blank_lines(tmp_path, text, label, message):
@@ -95,6 +98,30 @@ def test_messages_name_the_file_line_after_blank_lines(tmp_path, text, label, me
     with pytest.raises(DataError) as info:
         load_csv(f, label)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, label, message",
+    [
+        ("", None, "empty file: {path}"),
+        ("\n\n", None, "empty file: {path}"),
+        ("x,y\n", None, "no data rows in {path}"),
+        ("1,2\n3,4\n", "y", "label column 'y' requested but file has no header"),
+        ("x,y\n1,0\n3,1\n", "label", "label column 'label' not found in header"),
+        ("1,2\n3,4\n", 2, "label column index 2 out of range"),
+        ("1,2\n3,4\n", "-1", "label column index -1 out of range"),
+        ("1,2\n3,4\n", 10**400, "label column index out of range"),
+        ("1,2\n3,4\n", -(10**400), "label column index out of range"),
+    ],
+    ids=["empty", "blank-lines", "header-only", "name-without-header", "name-not-in-header",
+         "index-past-end", "negative-index", "index-beyond-float", "negative-beyond-float"],
+)
+def test_refusals_without_a_file_line_name_the_file_or_label_column(tmp_path, text, label, message):
+    f = tmp_path / "pts.csv"
+    f.write_text(text)
+    with pytest.raises(DataError) as info:
+        load_csv(f, label)
+    assert str(info.value) == message.format(path=f)
 
 
 def test_missing_file():
@@ -149,6 +176,15 @@ def test_dataset_rejects_nan_and_single_row():
         Dataset(np.array([[1.0, np.nan], [0.0, 1.0]]))
     with pytest.raises(DataError, match="at least 2"):
         Dataset(np.array([[1.0, 2.0]]))
+
+
+def test_holders_refuse_arrays_of_another_dimension():
+    for points in (np.zeros(3), np.zeros((2, 2, 2))):
+        with pytest.raises(DataError, match="points must be a 2-d array"):
+            Dataset(points)
+    for flags in (np.zeros((3, 1)), np.int8(0)):
+        with pytest.raises(DataError, match="labels must be 1-d"):
+            Labels(flags)
 
 
 def test_dataset_rejects_zero_feature_columns(tmp_path):

@@ -2,8 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from osd.dataset import Dataset
 from osd.detectors import _path_lengths, iforest_scores, knn_dist_scores, lof_scores
@@ -59,12 +60,27 @@ def test_lof_parameter_validation():
         lof_scores(ds, 4)
 
 
-def test_lof_permutation_equivariance():
-    rng = np.random.default_rng(2)
-    pts = rng.normal(size=(40, 3))
-    perm = rng.permutation(40)
-    base = lof_scores(Dataset(pts), 6)
-    shuffled = lof_scores(Dataset(pts[perm]), 6)
+@st.composite
+def _permuted(draw, decimals=st.none()):
+    """(points, k, permutation); rounding to a few decimals makes ties."""
+    n = draw(st.integers(3, 80))
+    d = draw(st.integers(1, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.normal(size=(n, d))
+    places = draw(decimals)
+    if places is not None:
+        pts = np.round(pts, places)
+    return pts, draw(st.integers(1, n - 1)), rng.permutation(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_permuted())
+def test_lof_permutation_equivariance(case):
+    pts, k, perm = case
+    # the tie rule orders by row index, so only tie-free inputs must follow a permutation
+    assume(len(np.unique(pdist(pts))) == len(pts) * (len(pts) - 1) // 2)
+    base = lof_scores(Dataset(pts), k)
+    shuffled = lof_scores(Dataset(pts[perm]), k)
     np.testing.assert_allclose(shuffled, base[perm], rtol=1e-12)
 
 
@@ -89,12 +105,13 @@ def test_knn_dist_far_point_dominates():
     assert np.argmax(scores) == 30
 
 
-def test_knn_dist_permutation_equivariance():
-    rng = np.random.default_rng(4)
-    pts = rng.normal(size=(35, 2))
-    perm = rng.permutation(35)
-    base = knn_dist_scores(Dataset(pts), 5)
-    shuffled = knn_dist_scores(Dataset(pts[perm]), 5)
+@settings(max_examples=40, deadline=None)
+@given(_permuted(decimals=st.sampled_from([None, 0, 1])))
+def test_knn_dist_permutation_equivariance(case):
+    # the k-th distance is the same whichever tied neighbor ranks k-th
+    pts, k, perm = case
+    base = knn_dist_scores(Dataset(pts), k)
+    shuffled = knn_dist_scores(Dataset(pts[perm]), k)
     np.testing.assert_allclose(shuffled, base[perm], rtol=1e-12)
 
 

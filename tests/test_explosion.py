@@ -214,7 +214,7 @@ def test_explode_rigid_translation_and_mass_conservation():
 
     ds, _ = gen_clusters_outliers(2, 40, 4, 2, 25.0, 11)
     g = build(ds, 5)
-    part = divide(g, find_inflection(weight_histogram(g.edge_weights, g.n_objects)).threshold)
+    part = divide(g, find_inflection(*weight_histogram(g.edge_weights, g.n_objects))[0])
     moved, moved_centroids = explode(ds, part, g_const=constant_g(g))
     for b, members in enumerate(blocks_of(part)):
         before = ds.points[members]

@@ -104,7 +104,7 @@ def test_public_api_is_the_pipeline():
         "Dataset", "Labels", "load_csv", "min_max_normalize",
         "prepare", "run_osd", "evaluate", "RunReport", "BlockPartition",
         "lof_scores", "iforest_scores", "knn_dist_scores",
-        "EvalResult", "roc_auc", "average_precision", "evaluate_scores",
+        "roc_auc", "average_precision", "evaluate_scores",
         "gen_clusters_outliers", "gen_imbalance_series",
     }
     assert len(osd.__all__) == len(set(osd.__all__))

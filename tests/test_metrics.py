@@ -125,5 +125,5 @@ def test_label_flip_duality_without_ties():
 
 def test_evaluate_scores_bundle():
     scores = np.array([0.9, 0.2, 0.8, 0.1])
-    res = evaluate_scores(scores, Labels(np.array([1, 0, 1, 0])))
-    assert res.auc == 1.0 and res.ap == 1.0
+    auc, ap = evaluate_scores(scores, Labels(np.array([1, 0, 1, 0])))
+    assert auc == 1.0 and ap == 1.0

@@ -12,6 +12,7 @@ from osd.dataset import Dataset, Labels
 from osd.errors import ConfigError, DataError
 from osd.knngraph import build
 from osd.pipeline import RunConfig, RunReport, evaluate, prepare, run_osd
+from osd.synth import gen_clusters_outliers
 
 
 def ring_dataset(seed, n_outliers=5):
@@ -35,6 +36,9 @@ def test_config_validation():
         RunConfig(ablation="bogus")
     with pytest.raises(ConfigError):
         RunConfig(detectors=("lof", "nope"))
+    for repeated in (("lof", "lof"), ("lof", "knn", "lof"), ["iforest", "iforest"]):
+        with pytest.raises(ConfigError, match="repeat"):
+            RunConfig(detectors=repeated)
 
 
 def test_config_rejects_bad_explosion_settings_at_construction():
@@ -64,6 +68,35 @@ def test_threshold_setting_skips_knee_detection(t):
     expected = divide(build(Dataset(prepared.points), 5), t)
     np.testing.assert_array_equal(partition.assignment, expected.assignment)
     np.testing.assert_array_equal(partition.masses, expected.masses)
+
+
+def test_default_run_of_twenty_objects_warns_and_prunes_nothing():
+    # 20 objects give 2 histogram bins, too few for a knee
+    ds = Dataset(np.random.default_rng(12).normal(size=(20, 2)))
+    config = RunConfig()
+    prepared = prepare(ds, config)
+    _, partition, report = run_osd(prepared, config)
+    assert report.warnings == ["histogram too coarse for knee detection; nothing pruned"]
+    assert report.knee_bin is None
+    graph = build(prepared, report.k)
+    assert report.threshold == graph.edge_weights.min()
+    expected = divide(graph, -np.inf)
+    np.testing.assert_array_equal(partition.assignment, expected.assignment)
+
+
+def test_direction_mode_has_no_effect_under_literal_signs():
+    # literal displacement squares each component of a block's resultant,
+    # so negating every repulsive force moves no point differently
+    ds, _ = gen_clusters_outliers(2, 40, 4, 2, 25.0, 1)
+    runs = {}
+    for signs in ("literal", "corrected"):
+        for direction in ("literal", "corrected"):
+            config = RunConfig(sign_mode=signs, direction_mode=direction)
+            out, _, report = run_osd(prepare(ds, config), config)
+            assert report.n_invalid_pairs > 0
+            runs[signs, direction] = out.points
+    assert runs["literal", "literal"].tobytes() == runs["literal", "corrected"].tobytes()
+    assert not np.array_equal(runs["corrected", "literal"], runs["corrected", "corrected"])
 
 
 def test_single_block_dataset_is_fixed_point():
@@ -297,6 +330,8 @@ def test_report_rejects_unknown_schema():
         '{"schema_version": 2, "config": {}, "timings": {"knngraph": "fast"}}',
         '{"schema_version": 2, "config": {}, "detector_results": {"lof": 0.5}}',
         '{"schema_version": 2, "config": {}, "detector_results": {"lof": {"auc_after": null}}}',
+        '{"schema_version": 2, "config": {}, "timings": {"knngraph": NaN}}',
+        '{"schema_version": 2, "config": {}, "detector_results": {"lof": {"auc_after": NaN}}}',
     ],
 )
 def test_report_from_json_rejects_malformed_input(text):

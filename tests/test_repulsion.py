@@ -3,6 +3,7 @@ import pytest
 
 from osd.blocks import divide
 from osd.dataset import Dataset
+from osd.errors import ConfigError
 from osd.explosion import constant_g, displacement, explode
 from osd.knngraph import build
 from osd.repulsion import find_invalid_neighbors, repel, repulsive_force
@@ -95,6 +96,11 @@ def test_repulsive_force_directions():
     np.testing.assert_allclose(
         repulsive_force(g_pos, p_pos, "corrected"), [-0.5, 0.0], rtol=1e-15
     )
+
+
+def test_repulsive_force_refuses_unknown_direction_mode():
+    with pytest.raises(ConfigError, match="direction_mode"):
+        repulsive_force(np.zeros(2), np.ones(2), "bogus")
 
 
 def test_repulsive_force_inverse_distance_scaling():
@@ -203,7 +209,7 @@ def test_repulsion_never_shrinks_outlier_normal_distance():
         ds, labels = gen_clusters_outliers(2, 60, 8, 2, 26.0, seed)
         ds = min_max_normalize(ds)
         g = build(ds, 6)
-        part = divide(g, find_inflection(weight_histogram(g.edge_weights, g.n_objects)).threshold)
+        part = divide(g, find_inflection(*weight_histogram(g.edge_weights, g.n_objects))[0])
         exploded, _ = explode(ds, part, g_const=constant_g(g))
         inv = find_invalid_neighbors(g, exploded, part)
         repelled = repel(exploded, part, inv)

@@ -22,7 +22,7 @@ def test_two_separated_clusters_divide_into_two_big_blocks():
     for seed in range(6):
         ds, labels = gen_clusters_outliers(2, 50, 0, 2, 20.0, seed)
         g = build(ds, 5)
-        part = divide(g, find_inflection(weight_histogram(g.edge_weights, g.n_objects)).threshold)
+        part = divide(g, find_inflection(*weight_histogram(g.edge_weights, g.n_objects))[0])
         masses = sorted(part.masses.tolist(), reverse=True)
         assert masses[0] + masses[1] >= 95
         assert all(m <= 2 for m in masses[2:])
@@ -83,6 +83,14 @@ def test_parameter_validation():
     for size in (0, -1):
         with pytest.raises(ConfigError):
             gen_imbalance_series([2.0], 0, pts_per_cluster=size)
+
+
+def test_centers_that_cannot_be_placed_are_config_error(monkeypatch):
+    # one draw per try, so a budget of one try places one center at most
+    monkeypatch.setattr("osd.synth._MAX_TRIES", 1)
+    with pytest.raises(ConfigError, match="could not place 2 centers 10.0 apart in 1 tries"):
+        gen_clusters_outliers(2, 10, 0, 2, 10.0, 0)
+    gen_clusters_outliers(1, 10, 0, 2, 10.0, 0)
 
 
 def test_imbalance_level_one_equal_spreads():
