@@ -23,10 +23,10 @@ from pathlib import Path
 
 from .dataset import load_csv
 from .errors import ConfigError, DataError
-from .explosion import DIRECTION_MODES, SIGN_MODES
 from .pipeline import (
     ABLATIONS,
     DETECTOR_NAMES,
+    LAWS,
     RunConfig,
     evaluate,
     prepare,
@@ -49,8 +49,7 @@ def _add_transform_flags(p: argparse.ArgumentParser) -> argparse._ArgumentGroup:
     run.add_argument("--T", type=float, help="explosion duration")
     run.add_argument("--threshold", type=float,
                      help="pruning-weight override; skips knee detection")
-    run.add_argument("--sign-mode", choices=SIGN_MODES)
-    run.add_argument("--direction-mode", choices=DIRECTION_MODES)
+    run.add_argument("--law", choices=LAWS, help="force law of explosion and repulsion")
     run.add_argument("--no-normalize", dest="normalize", action="store_false",
                      help="skip per-feature min-max scaling")
     run.add_argument("--ablation", choices=ABLATIONS)

@@ -136,7 +136,9 @@ def load_csv(
             try:
                 index = float(label_column)
             except OverflowError:  # an int beyond the float range
-                raise DataError("label column index out of range") from None
+                index = np.inf
+            if np.isinf(index):  # also a string beyond it, such as '1e400'
+                raise DataError("label column index out of range")
             if not index.is_integer():
                 raise DataError(f"label column index {label_column!r} is not an integer")
             label_idx = int(index)

@@ -27,12 +27,6 @@ __all__ = [
     "explode",
 ]
 
-# Sign conventions of the displacement law (see displacement) and of the
-# repulsion force (see repulsion.repulsive_force); "corrected" is the default.
-SIGN_MODES = ("corrected", "literal")
-DIRECTION_MODES = ("corrected", "literal")
-
-
 def _epsilon(ds: Dataset) -> float:
     """Singularity guard for the inverse-distance forces: 1e-12 of the diameter."""
     return 1e-12 * ds.diameter()
@@ -88,7 +82,7 @@ def displacement(
         return mag
     if sign_mode == "corrected":
         return np.sign(f) * mag
-    raise ConfigError(f"sign_mode must be one of {SIGN_MODES}")
+    raise ConfigError("sign_mode must be 'corrected' or 'literal'")
 
 
 def explode(
@@ -103,7 +97,8 @@ def explode(
 
     Returns the moved dataset and the (B, d) moved centroids.  g_const is
     the force scale (run_osd passes constant_g, or 1 when that is 0); T
-    and sign_mode are the displacement law's duration and sign convention;
+    and sign_mode are the displacement law's duration and sign convention
+    (run_osd reads sign_mode from RunConfig.law through pipeline.LAWS);
     theta overrides the bomb position (used by the random-bomb ablation).
     Masses and within-block geometry are preserved exactly.
     """

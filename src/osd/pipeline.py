@@ -33,7 +33,7 @@ from . import detectors
 from .blocks import BlockPartition, divide, find_inflection, weight_histogram
 from .dataset import Dataset, Labels, min_max_normalize
 from .errors import ConfigError, DataError
-from .explosion import DIRECTION_MODES, SIGN_MODES, constant_g, explode
+from .explosion import constant_g, explode
 from .knngraph import build
 from .metrics import evaluate_scores
 from .repulsion import find_invalid_neighbors, repel
@@ -41,9 +41,16 @@ from .repulsion import find_invalid_neighbors, repel
 __all__ = ["RunConfig", "RunReport", "prepare", "run_osd", "evaluate"]
 
 ABLATIONS = ("none", "random-bomb", "no-repulsion", "no-division")
+# Each force law names the (sign_mode, direction_mode) pair of explode and repel;
+# literal signs square each resultant component, so the direction is moot there.
+LAWS = {
+    "corrected": ("corrected", "corrected"),
+    "literal-sign": ("literal", "corrected"),
+    "literal-direction": ("corrected", "literal"),
+}
 DETECTOR_NAMES = ("lof", "iforest", "knn")
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -57,8 +64,7 @@ class RunConfig:
     k: int | None = None  # default resolves to min(10, N-1)
     T: float = 1.0
     threshold: float | None = None
-    sign_mode: str = "corrected"
-    direction_mode: str = "corrected"
+    law: str = "corrected"
     normalize: bool = True
     ablation: str = "none"
     detectors: tuple[str, ...] = DETECTOR_NAMES
@@ -88,10 +94,8 @@ class RunConfig:
         if not isinstance(self.normalize, (bool, np.bool_)):
             raise ConfigError(f"normalize must be a bool, got {self.normalize!r}")
         object.__setattr__(self, "normalize", bool(self.normalize))
-        if self.sign_mode not in SIGN_MODES:
-            raise ConfigError(f"sign_mode must be one of {SIGN_MODES}")
-        if self.direction_mode not in DIRECTION_MODES:
-            raise ConfigError(f"direction_mode must be one of {DIRECTION_MODES}")
+        if self.law not in tuple(LAWS):  # a tuple, so an unhashable value is refused too
+            raise ConfigError(f"law must be one of {tuple(LAWS)}")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"ablation must be one of {ABLATIONS}")
         if isinstance(self.detectors, str) or not isinstance(self.detectors, Iterable):
@@ -165,7 +169,7 @@ class RunReport:
         if not isinstance(raw, dict):
             raise DataError("report must be a JSON object")
         version = raw.get("schema_version")
-        if type(version) is not int or version != REPORT_SCHEMA_VERSION:  # 2.0 == 2 too
+        if type(version) is not int or version != REPORT_SCHEMA_VERSION:  # 3.0 == 3 too
             raise DataError(f"unsupported report schema: {version!r}")
         if not isinstance(raw.get("config"), dict):
             raise DataError("report config must be a JSON object")
@@ -227,7 +231,7 @@ def run_osd(
     if config.ablation == "random-bomb":
         rng = np.random.default_rng(config.seed)
         theta = rng.uniform(ds.points.min(axis=0), ds.points.max(axis=0))
-    exploded, _ = explode(ds, partition, g_const, config.T, config.sign_mode, theta)
+    exploded, _ = explode(ds, partition, g_const, config.T, LAWS[config.law][0], theta)
     timings["explosion"] = clock() - t0
 
     t0 = clock()
@@ -237,9 +241,7 @@ def run_osd(
     else:
         invalid = find_invalid_neighbors(graph, exploded, partition)
         n_invalid_pairs = len(invalid)
-        result = repel(
-            exploded, partition, invalid, config.sign_mode, config.direction_mode
-        )
+        result = repel(exploded, partition, invalid, *LAWS[config.law])
     timings["repulsion"] = clock() - t0
 
     report = RunReport(

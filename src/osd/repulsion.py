@@ -15,7 +15,7 @@ import numpy as np
 from .blocks import BlockPartition
 from .dataset import Dataset
 from .errors import ConfigError
-from .explosion import DIRECTION_MODES, _epsilon, _inverse_distance, displacement
+from .explosion import _epsilon, _inverse_distance, displacement
 from .knngraph import KnnGraph, build
 
 __all__ = ["find_invalid_neighbors", "repulsive_force", "repel"]
@@ -53,8 +53,8 @@ def repulsive_force(
     1/distance either way; coincident positions give zero force.  Takes
     one (d,) pair or (P, d) arrays of pairs.
     """
-    if direction_mode not in DIRECTION_MODES:
-        raise ConfigError(f"direction_mode must be one of {DIRECTION_MODES}")
+    if direction_mode not in ("corrected", "literal"):
+        raise ConfigError("direction_mode must be 'corrected' or 'literal'")
     scale = 1.0 if direction_mode == "literal" else -1.0
     return _inverse_distance(p_pos - g_pos, scale, eps)
 
@@ -73,7 +73,8 @@ def repel(
     mass, with the same sign convention as the explosion displacement and
     no T factor.  Blocks with a zero resultant do not move.  Under
     sign_mode "literal" direction_mode has no effect: flipping every force
-    flips each resultant, whose components are then squared.
+    flips each resultant, whose components are then squared.  run_osd
+    reads both modes from pipeline.LAWS, whose "literal-sign" is that case.
     """
     pts = exploded_ds.points
     a = partition.assignment

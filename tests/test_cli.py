@@ -93,8 +93,7 @@ NON_DEFAULT_RUN_FLAGS = {
     "k": (["--k", "7"], 7),
     "T": (["--T", "0.5"], 0.5),
     "threshold": (["--threshold", "-0.25"], -0.25),
-    "sign_mode": (["--sign-mode", "literal"], "literal"),
-    "direction_mode": (["--direction-mode", "literal"], "literal"),
+    "law": (["--law", "literal-sign"], "literal-sign"),
     "normalize": (["--no-normalize"], False),
     "ablation": (["--ablation", "no-repulsion"], "no-repulsion"),
     "detectors": (["--detector", "knn", "--detector", "lof"], ("knn", "lof")),

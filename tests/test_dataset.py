@@ -112,9 +112,13 @@ def test_messages_name_the_file_line_after_blank_lines(tmp_path, text, label, me
         ("1,2\n3,4\n", "-1", "label column index -1 out of range"),
         ("1,2\n3,4\n", 10**400, "label column index out of range"),
         ("1,2\n3,4\n", -(10**400), "label column index out of range"),
+        ("1,2\n3,4\n", "1e400", "label column index out of range"),
+        ("1,2\n3,4\n", "-1e400", "label column index out of range"),
+        ("1,2\n3,4\n", "1" * 401, "label column index out of range"),
     ],
     ids=["empty", "blank-lines", "header-only", "name-without-header", "name-not-in-header",
-         "index-past-end", "negative-index", "index-beyond-float", "negative-beyond-float"],
+         "index-past-end", "negative-index", "index-beyond-float", "negative-beyond-float",
+         "string-beyond-float", "negative-string-beyond-float", "string-of-401-digits"],
 )
 def test_refusals_without_a_file_line_name_the_file_or_label_column(tmp_path, text, label, message):
     f = tmp_path / "pts.csv"

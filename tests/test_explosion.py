@@ -161,9 +161,9 @@ def test_displacement_inverse_mass_square():
 def test_params_validation():
     with pytest.raises(ConfigError):
         RunConfig(T=0.0)
-    with pytest.raises(ConfigError):
-        RunConfig(sign_mode="bogus")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="law"):
+        RunConfig(law="bogus")
+    with pytest.raises(ConfigError, match="sign_mode"):
         displacement(np.ones(2), 1.0, 1, "bogus")
 
 

@@ -96,6 +96,33 @@ def test_bench_graph_reads_resolve():
             assert getattr(graph, name) is not None, name
 
 
+def test_bench_layer_span_reads_resolve(monkeypatch):
+    # bench/harness.py:layer_metrics reads explode's args[0] and result[0]
+    # and divide's args[0] and args[1] by position; run_osd must pass and
+    # return them as these types for traced benchmark runs to work.
+    from osd import pipeline
+    from osd.knngraph import KnnGraph
+
+    calls = {}
+
+    def spying(name):
+        inner = getattr(pipeline, name)
+
+        def spy(*args, **kwargs):
+            calls[name] = (args, inner(*args, **kwargs))
+            return calls[name][1]
+        return spy
+
+    for name in ("explode", "divide"):
+        monkeypatch.setattr(pipeline, name, spying(name))
+    ds = osd.Dataset(np.random.default_rng(0).normal(size=(40, 2)))
+    osd.run_osd(ds, osd.RunConfig())
+    (ds_in, *_), (ds_out, _) = calls["explode"]
+    assert isinstance(ds_in, osd.Dataset) and isinstance(ds_out, osd.Dataset)
+    (graph, threshold, *_), _ = calls["divide"]
+    assert isinstance(graph, KnnGraph) and isinstance(threshold, float)
+
+
 def test_public_api_is_the_pipeline():
     # Settings, data, run/evaluate, partitions, detectors, metrics and
     # generators; each layer's functions stay in their own module.

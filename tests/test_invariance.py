@@ -1,14 +1,33 @@
 """The default pipeline (normalize, then transform) ignores row order and
 per-axis units: relocated points agree within 1e-8 of the diameter and the
-partitions are the same set partition."""
+partitions are the same set partition.
+
+Under every law, the layers scale as the paper's forces do: scaling the
+positions, the bomb, G and the guard distance by c leaves the shock force
+and the explosion's move unchanged, and for the same invalid pairs scales
+repulsion's move by 1/c^2.  Bitwise for a power of two, else within 1e-12."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
-from osd.dataset import Dataset
-from osd.pipeline import RunConfig, prepare, run_osd
+from osd import explosion, repulsion
+from osd.blocks import divide, find_inflection, weight_histogram
+from osd.dataset import Dataset, min_max_normalize
+from osd.explosion import (
+    _epsilon,
+    bomb_position,
+    centroids,
+    constant_g,
+    displacement,
+    explode,
+    shock_force,
+)
+from osd.knngraph import build
+from osd.pipeline import LAWS, RunConfig, prepare, run_osd
+from osd.repulsion import find_invalid_neighbors, repel
 
 
 @st.composite
@@ -57,3 +76,106 @@ def test_run_osd_follows_a_row_permutation(case):
 def test_run_osd_ignores_a_per_axis_affine_map(case):
     pts, k, _, scale, shift = case
     _assert_same_run(_run(pts, k), _run(pts * scale + shift, k))
+
+
+@st.composite
+def scaled_runs(draw):
+    """A normalized point set, a k, a power of two, and a factor of 12 bits.
+
+    The 12-bit factor, from about 2.4e-7 to 4095 (37.5 among them), scales
+    a grid of 41-bit integers without rounding (see _on_grid).
+    """
+    n = draw(st.integers(3, 120))
+    d = draw(st.integers(1, 8))
+    k = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.standard_t(2, size=(n, d)) + 10.0 * rng.integers(0, 3, size=(n, 1))
+    power = 2.0 ** draw(st.integers(-20, 20))
+    factor = draw(st.integers(1, 2**12 - 1)) * 2.0 ** draw(st.integers(-22, 0))
+    return min_max_normalize(Dataset(pts)), k, power, factor
+
+
+def _layers(ds, k, sign_mode):
+    """The graph, partition, G and exploded points of a run on ds."""
+    graph = build(ds, k)
+    partition = divide(graph, find_inflection(*weight_histogram(graph.edge_weights, ds.count))[0])
+    g_const = constant_g(graph)
+    exploded, _ = explode(ds, partition, g_const, 1.0, sign_mode)
+    return graph, partition, g_const, exploded
+
+
+def _on_grid(*arrays):
+    """The arrays rounded to one grid 40 bits below their largest magnitude.
+
+    A factor of 12 significant bits then scales them and their differences
+    exactly.  Rounding c * x instead would test the forces' sensitivity to
+    the last bit (large near a coincident pair), not how they scale.
+    """
+    step = 2.0 ** (np.frexp(max(np.abs(a).max() for a in arrays))[1] - 40)
+    return [np.round(a / step) * step for a in arrays]
+
+
+def _displacement_in(module, call):
+    """The displacement that call() computed through module.displacement."""
+    seen, inner = [], module.displacement
+
+    def spy(*args):
+        seen.append(inner(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "displacement", spy)
+        call()
+    (shift,) = seen
+    return shift
+
+
+def _assert_rows_close(got, want):
+    """Each row within 1e-12 of its length, so a cancelled component passes."""
+    assert np.all(np.abs(got - want) <= 1e-12 * np.linalg.norm(want, axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("law", list(LAWS))
+@settings(max_examples=60, deadline=None)
+@given(scaled_runs())
+def test_explosion_is_scale_free_under_each_law(law, case):
+    ds, k, power, factor = case
+    sign_mode = LAWS[law][0]
+    _, partition, g_const, _ = _layers(ds, k, sign_mode)
+    positions, eps = centroids(ds, partition), _epsilon(ds)
+    theta = bomb_position(positions)
+    force = shock_force(positions, theta, g_const, eps)
+    scaled = shock_force(power * positions, power * theta, power * g_const, power * eps)
+    assert scaled.tobytes() == force.tobytes()
+    # explode finds the scaled centroids, bomb and guard distance itself
+    move = _displacement_in(explosion, lambda: explode(ds, partition, g_const, 1.0, sign_mode))
+    scaled = _displacement_in(explosion, lambda: explode(
+        Dataset(power * ds.points), partition, power * g_const, 1.0, sign_mode))
+    assert scaled.tobytes() == move.tobytes()
+
+    positions, theta = _on_grid(positions, theta)
+    force = shock_force(positions, theta, g_const, eps)
+    scaled = shock_force(factor * positions, factor * theta, factor * g_const, factor * eps)
+    _assert_rows_close(scaled, force)
+    masses = partition.masses[:, None]
+    _assert_rows_close(displacement(scaled, 1.0, masses, sign_mode),
+                       displacement(force, 1.0, masses, sign_mode))
+
+
+@pytest.mark.parametrize("law", list(LAWS))
+@settings(max_examples=60, deadline=None)
+@given(scaled_runs())
+def test_repulsion_scales_as_inverse_square_under_each_law(law, case):
+    ds, k, power, factor = case
+    sign_mode, direction_mode = LAWS[law]
+    graph, partition, _, exploded = _layers(ds, k, sign_mode)
+    # held fixed: the pairs themselves change with c, as the explosion's move does not scale
+    pairs = find_invalid_neighbors(graph, exploded, partition)
+
+    def move(points, c):
+        return c * c * _displacement_in(repulsion, lambda: repel(
+            Dataset(c * points), partition, pairs, sign_mode, direction_mode))
+
+    assert move(exploded.points, power).tobytes() == move(exploded.points, 1.0).tobytes()
+    (points,) = _on_grid(exploded.points)
+    _assert_rows_close(move(points, factor), move(points, 1.0))

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import inspect
 import json
 
@@ -7,11 +8,21 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from osd.blocks import divide
+from osd.blocks import divide, find_inflection, weight_histogram
 from osd.dataset import Dataset, Labels
 from osd.errors import ConfigError, DataError
+from osd.explosion import constant_g, explode
 from osd.knngraph import build
-from osd.pipeline import RunConfig, RunReport, evaluate, prepare, run_osd
+from osd.pipeline import (
+    LAWS,
+    REPORT_SCHEMA_VERSION,
+    RunConfig,
+    RunReport,
+    evaluate,
+    prepare,
+    run_osd,
+)
+from osd.repulsion import find_invalid_neighbors, repel
 from osd.synth import gen_clusters_outliers
 
 
@@ -42,7 +53,7 @@ def test_config_validation():
 
 
 def test_config_rejects_bad_explosion_settings_at_construction():
-    for bad in ({"T": 0}, {"sign_mode": "bogus"}, {"direction_mode": "x"},
+    for bad in ({"T": 0}, {"law": "bogus"}, {"law": "literal"}, {"law": ["corrected"]},
                 {"k": 0}, {"k": -3}, {"T": np.nan}, {"T": np.inf},
                 {"T": -np.inf}, {"threshold": np.nan}, {"k": 2.5}, {"k": "3"},
                 {"seed": -1}, {"seed": 1.5}, {"detectors": "lof"}, {"T": "1"},
@@ -86,17 +97,34 @@ def test_default_run_of_twenty_objects_warns_and_prunes_nothing():
 
 def test_direction_mode_has_no_effect_under_literal_signs():
     # literal displacement squares each component of a block's resultant,
-    # so negating every repulsive force moves no point differently
+    # so negating every repulsive force moves no point differently; that is
+    # why LAWS holds literal signs once.  Checked on repel with the invalid
+    # pairs of a real run.
+    ds = prepare(gen_clusters_outliers(2, 40, 4, 2, 25.0, 1)[0], RunConfig())
+    graph = build(ds, 10)
+    threshold, _ = find_inflection(*weight_histogram(graph.edge_weights, graph.n_objects))
+    partition = divide(graph, threshold)
+    for signs, moot in (("literal", True), ("corrected", False)):
+        exploded, _ = explode(ds, partition, constant_g(graph), 1.0, signs)
+        pairs = find_invalid_neighbors(graph, exploded, partition)
+        assert len(pairs) > 0
+        literal, corrected = (repel(exploded, partition, pairs, signs, direction).points
+                              for direction in ("literal", "corrected"))
+        assert (literal.tobytes() == corrected.tobytes()) is moot
+
+
+def test_each_law_moves_points_its_own_way():
+    # sha256 prefixes of the relocated points; each equals what the law's
+    # (sign_mode, direction_mode) pair gave when they were two settings
     ds, _ = gen_clusters_outliers(2, 40, 4, 2, 25.0, 1)
-    runs = {}
-    for signs in ("literal", "corrected"):
-        for direction in ("literal", "corrected"):
-            config = RunConfig(sign_mode=signs, direction_mode=direction)
-            out, _, report = run_osd(prepare(ds, config), config)
-            assert report.n_invalid_pairs > 0
-            runs[signs, direction] = out.points
-    assert runs["literal", "literal"].tobytes() == runs["literal", "corrected"].tobytes()
-    assert not np.array_equal(runs["corrected", "literal"], runs["corrected", "corrected"])
+    digests = {}
+    for law in LAWS:
+        config = RunConfig(law=law)
+        out, _, report = run_osd(prepare(ds, config), config)
+        assert report.n_invalid_pairs > 0
+        digests[law] = hashlib.sha256(out.points.tobytes()).hexdigest()[:12]
+    assert digests == {"corrected": "6b5dab12cfc6", "literal-sign": "19641a65df90",
+                       "literal-direction": "24df3ac1f455"}
 
 
 def test_single_block_dataset_is_fixed_point():
@@ -255,7 +283,7 @@ def test_report_json_round_trip():
     report = evaluate(prepared, out, labels, config, report)
     restored = RunReport.from_json(report.to_json())
     assert restored == report
-    assert json.loads(report.to_json())["schema_version"] == 2
+    assert json.loads(report.to_json())["schema_version"] == 3
 
 
 def test_report_json_round_trip_with_numpy_settings():
@@ -294,44 +322,51 @@ def test_report_rejects_unknown_schema():
         RunReport.from_json('{"schema_version": 99}')
 
 
+HEAD = f'{{"schema_version": {REPORT_SCHEMA_VERSION}'  # a report text at today's schema
+
+
 @pytest.mark.parametrize(
     "text",
     [
-        '{"schema_version": 2}',
-        '{"schema_version": 2, "config": {}, "unknown": 1}',
-        '{"schema_version": 2, "config": [1]}',
-        '{"schema_version": 2, "config": {"k": -5, "ablation": "bogus", "whatever": 1}}',
-        '{"schema_version": 2, "config": {"k": -5}}',
-        '{"schema_version": 2, "config": {"ablation": "bogus"}}',
-        '{"schema_version": 2, "config": {"whatever": 1}}',
-        '{"schema_version": 2, "config": {"k": 5.0}}',
+        HEAD + '}',
+        pytest.param('{"schema_version": 2, "config": {"sign_mode": "literal", '
+                     '"direction_mode": "corrected"}}', id="schema-2-mode-pair"),
+        HEAD + ', "config": {"sign_mode": "literal", "direction_mode": "corrected"}}',
+        HEAD + ', "config": {"law": "literal"}}',
+        HEAD + ', "config": {}, "unknown": 1}',
+        HEAD + ', "config": [1]}',
+        HEAD + ', "config": {"k": -5, "ablation": "bogus", "whatever": 1}}',
+        HEAD + ', "config": {"k": -5}}',
+        HEAD + ', "config": {"ablation": "bogus"}}',
+        HEAD + ', "config": {"whatever": 1}}',
+        HEAD + ', "config": {"k": 5.0}}',
         "[1]",
         "{not json",
-        pytest.param('{"schema_version": 2, "config": {}, "k": ' + "9" * 5000 + "}",
+        pytest.param(HEAD + ', "config": {}, "k": ' + "9" * 5000 + "}",
                      id="k-of-5000-digits"),
         pytest.param("[" * 100_000, id="nested-100000-deep"),
-        '{"schema_version": 2, "config": {}, "k": "abc", "block_masses": 5, "timings": [1]}',
-        '{"schema_version": 2, "config": {}, "k": "abc"}',
-        '{"schema_version": 2, "config": {}, "k": 5.0}',
-        '{"schema_version": 2, "config": {}, "n_edges": true}',
-        '{"schema_version": 2, "config": {}, "knee_bin": [3]}',
-        '{"schema_version": 2, "config": {}, "n_blocks": "7"}',
-        '{"schema_version": 2, "config": {}, "n_invalid_pairs": false}',
-        '{"schema_version": 2, "config": {}, "threshold": "-Infinity"}',
-        '{"schema_version": 2.0, "config": {}}',
-        '{"schema_version": 2, "config": {}, "threshold": NaN}',
-        '{"schema_version": 2, "config": {}, "g_const": NaN}',
-        '{"schema_version": 2, "config": {}, "g_const": true}',
-        '{"schema_version": 2, "config": {}, "block_masses": 5}',
-        '{"schema_version": 2, "config": {}, "block_masses": [1, 2.5]}',
-        '{"schema_version": 2, "config": {}, "warnings": "one"}',
-        '{"schema_version": 2, "config": {}, "warnings": [1]}',
-        '{"schema_version": 2, "config": {}, "timings": [1]}',
-        '{"schema_version": 2, "config": {}, "timings": {"knngraph": "fast"}}',
-        '{"schema_version": 2, "config": {}, "detector_results": {"lof": 0.5}}',
-        '{"schema_version": 2, "config": {}, "detector_results": {"lof": {"auc_after": null}}}',
-        '{"schema_version": 2, "config": {}, "timings": {"knngraph": NaN}}',
-        '{"schema_version": 2, "config": {}, "detector_results": {"lof": {"auc_after": NaN}}}',
+        HEAD + ', "config": {}, "k": "abc", "block_masses": 5, "timings": [1]}',
+        HEAD + ', "config": {}, "k": "abc"}',
+        HEAD + ', "config": {}, "k": 5.0}',
+        HEAD + ', "config": {}, "n_edges": true}',
+        HEAD + ', "config": {}, "knee_bin": [3]}',
+        HEAD + ', "config": {}, "n_blocks": "7"}',
+        HEAD + ', "config": {}, "n_invalid_pairs": false}',
+        HEAD + ', "config": {}, "threshold": "-Infinity"}',
+        HEAD + '.0, "config": {}}',
+        HEAD + ', "config": {}, "threshold": NaN}',
+        HEAD + ', "config": {}, "g_const": NaN}',
+        HEAD + ', "config": {}, "g_const": true}',
+        HEAD + ', "config": {}, "block_masses": 5}',
+        HEAD + ', "config": {}, "block_masses": [1, 2.5]}',
+        HEAD + ', "config": {}, "warnings": "one"}',
+        HEAD + ', "config": {}, "warnings": [1]}',
+        HEAD + ', "config": {}, "timings": [1]}',
+        HEAD + ', "config": {}, "timings": {"knngraph": "fast"}}',
+        HEAD + ', "config": {}, "detector_results": {"lof": 0.5}}',
+        HEAD + ', "config": {}, "detector_results": {"lof": {"auc_after": null}}}',
+        HEAD + ', "config": {}, "timings": {"knngraph": NaN}}',
+        HEAD + ', "config": {}, "detector_results": {"lof": {"auc_after": NaN}}}',
     ],
 )
 def test_report_from_json_rejects_malformed_input(text):

@@ -24,7 +24,7 @@ def test_readme_quick_start_and_library_example_run(tmp_path, monkeypatch, capsy
     monkeypatch.chdir(tmp_path)
     assert main(next(argv for argv in argvs if argv[0] == "synth")) == 0
     exec(compile(_block("python", "Library use"), "README.md", "exec"), {})
-    assert '"schema_version": 2' in capsys.readouterr().out
+    assert '"schema_version": 3' in capsys.readouterr().out
 
 
 def test_readme_flags_are_transform_or_eval_options():
