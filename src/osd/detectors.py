@@ -63,16 +63,71 @@ def _path_lengths(n: int) -> np.ndarray:
     return c
 
 
+class _Draws:
+    """Each tree's integers(m) and random() draws, decoded from raw words.
+
+    The decoding replays numpy 2.x's Generator on PCG64, bit for bit.
+    random() is (w >> 11) * 2^-53 of the next 64-bit word w.  integers(m)
+    draws nothing at m = 1.  Otherwise it takes a 32-bit half: the high half
+    that the last such draw left pending, or else the low half of the next
+    word, whose high half is then pending.  Lemire's method maps the half
+    to prod >> 32, where prod = half * m, and draws again while
+    prod mod 2^32 < (2^32 - m) mod m.  random() leaves a pending half
+    alone.  Each tree reads its generator's words in blocks; random_raw
+    refills a spent block and so continues the stream exactly.
+    """
+
+    def __init__(self, rngs: list[np.random.Generator], block: int):
+        self.rngs = rngs
+        self.words = np.stack([rng.bit_generator.random_raw(block) for rng in rngs])
+        self.cursor = np.zeros(len(rngs), dtype=np.intp)
+        state = [rng.bit_generator.state for rng in rngs]
+        self.pending = np.array([s["has_uint32"] == 1 for s in state])
+        self.half = np.array([s["uinteger"] for s in state], dtype=np.uint64)
+
+    def _next(self, trees: np.ndarray) -> np.ndarray:
+        for t in trees[self.cursor[trees] == self.words.shape[1]].tolist():
+            self.words[t] = self.rngs[t].bit_generator.random_raw(self.words.shape[1])
+            self.cursor[t] = 0
+        word = self.words[trees, self.cursor[trees]]
+        self.cursor[trees] += 1
+        return word
+
+    def pairs(self, trees: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """integers(m[i]), then random(), from distinct trees[i]'s generators."""
+        j = np.zeros(trees.size, dtype=np.intp)
+        todo = np.flatnonzero(m > 1)
+        while todo.size:  # a rejection draws again, which is rare
+            t, k = trees[todo], m[todo].astype(np.uint64)
+            half = self.half[t]
+            fresh = ~self.pending[t]
+            word = self._next(t[fresh])
+            half[fresh] = word & 0xFFFFFFFF
+            self.half[t[fresh]] = word >> 32
+            self.pending[t] = fresh
+            prod = half * k
+            j[todo] = prod >> 32
+            todo = todo[(prod & 0xFFFFFFFF) < (2**32 - k) % k]
+        return j, (self._next(trees) >> 11) * 2.0**-53
+
+
 def _grow_forest(
     pts: np.ndarray, seed: int, height_limit: int, c: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """Grow the trees in lockstep into one flat node table.
 
-    c holds c(m) for m up to the subsample size.  Nodes are numbered in
-    the order they are visited, so tree t's root is node t.  Returns
-    (feature, cut, child): node i sends point x on to child[2i] if
-    x[feature[i]] < cut[i], else to child[2i + 1].  A leaf is both its own
-    children, and its cut is its path length depth + c(leaf size).
+    Every tree keeps a depth-first stack of the nodes that may split, left
+    child on top, and each step pops the next node of every live tree.  The
+    popped nodes' subsamples are concatenated, and their bounds, splittable
+    features, draws, thresholds and splits are whole-array operations.  A
+    child of at most one point, or at the height limit, is a leaf: it draws
+    nothing, so it goes into the table when its parent splits and is never
+    pushed.  c holds c(m) for m up to the subsample size.
+
+    Returns (feature, cut, child): node i sends point x on to child[2i] if
+    x[feature[i]] < cut[i], else to child[2i + 1].  Tree t's root is node t.
+    A leaf is both its own children, and its cut is its path length
+    depth + c(leaf size).
     """
     n = len(pts)
     subsample = len(c) - 1
@@ -80,69 +135,72 @@ def _grow_forest(
     # Tree t's subsample is block t of `order`.  A node owns a slice of its
     # tree's block, and splitting it reorders the slice into left | right.
     order = np.concatenate([rng.choice(n, size=subsample, replace=False) for rng in rngs])
+    draws = _Draws(rngs, subsample // 4 + 1)  # most trees refill once
 
-    # stack[t, i] is a pending node of tree t: (its slot in child, start in
-    # order, size, depth).  A depth-first stack never holds more than
-    # height_limit + 1 nodes.  Roots have no slot.
+    # stack[t, i] is a pending node of tree t that may split: (its slot in
+    # child, start in order, size, depth).  A depth-first stack never holds
+    # more than height_limit + 1 nodes.  Roots have no slot.
     stack = np.zeros((_N_TREES, height_limit + 1, 4), dtype=np.intp)
     stack[:, 0, 1] = np.arange(_N_TREES) * subsample
     stack[:, 0, 2] = subsample
     top = np.ones(_N_TREES, dtype=np.intp)
-    n_nodes = 0
+    n_popped = 0
     visited = []  # per step: (feature, cut, slot) of every popped node
+    settled = []  # per step: the same of the leaves its splits made
     while (live := np.flatnonzero(top)).size:
         top[live] -= 1
         slot, start, size, depth = stack[live, top[live]].T
+        offsets = np.cumsum(size) - size
+        pos = np.repeat(start - offsets, size) + np.arange(offsets[-1] + size[-1])
+        sample = order[pos]
+        sub = pts.take(sample, axis=0)
+        lo = np.minimum.reduceat(sub, offsets)
+        hi = np.maximum.reduceat(sub, offsets)
+        del sub  # a step's widest array; the split reads one column of it
+        splittable = hi > lo
+        counts = splittable.sum(axis=1)
+        split = np.flatnonzero(counts)  # otherwise all of the node's points coincide
         feature = np.zeros(live.size, dtype=np.intp)
         cut = depth + c[size]
-        grow = np.flatnonzero((size > 1) & (depth < height_limit))
-        if grow.size:
-            sizes = size[grow]
-            offsets = np.cumsum(sizes) - sizes
-            pos = np.repeat(start[grow] - offsets, sizes) + np.arange(offsets[-1] + sizes[-1])
-            sample = order[pos]
-            sub = pts.take(sample, axis=0)
-            lo = np.minimum.reduceat(sub, offsets)
-            hi = np.maximum.reduceat(sub, offsets)
-            del sub  # a step's widest array; the split reads one column of it
-            splittable = hi > lo
-            counts = splittable.sum(axis=1)
-            split = np.flatnonzero(counts)  # otherwise all of the node's points coincide
-            if split.size:
-                owners = live[grow[split]].tolist()
-                j = np.array([rngs[t].integers(k) for t, k in zip(owners, counts[split].tolist())])
-                u = np.array([rngs[t].random() for t in owners])
-                feat = (np.cumsum(splittable[split], axis=1) <= j[:, None]).sum(axis=1)
-                low = lo[split, feat]
-                with np.errstate(over="ignore"):  # reported below, as uniform does
-                    span = hi[split, feat] - low
-                if not np.isfinite(span).all():
-                    raise OverflowError("Range exceeds valid bounds")
-                # a node that does not split keeps every point on side 0
-                edge = np.full(grow.size, np.inf)
-                edge[split] = low + span * u
-                at = grow[split]
-                feature[at] = feat
-                cut[at] = edge[split]
-                side = pts[sample, np.repeat(feature[grow], sizes)] >= np.repeat(edge, sizes)
-                # keys stay below 2 * _N_TREES; int16 keys sort by radix
-                keys = np.repeat(np.arange(0, 2 * grow.size, 2, dtype=np.int16), sizes) + side
-                order[pos] = sample[np.argsort(keys, kind="stable")]
-                n_left = sizes[split] - np.add.reduceat(side, offsets)[split]
-                owner = live[at]
-                below = top[owner]
-                slots = 2 * (n_nodes + at)
-                stack[owner, below] = np.column_stack(
-                    [slots + 1, start[at] + n_left, sizes[split] - n_left, depth[at] + 1])
-                stack[owner, below + 1] = np.column_stack(
-                    [slots, start[at], n_left, depth[at] + 1])
-                top[owner] += 2
-        visited.append((feature, cut, slot.copy()))  # a view would keep all four columns
-        n_nodes += live.size
+        if split.size:
+            owner = live[split]
+            j, u = draws.pairs(owner, counts[split])
+            feat = (np.cumsum(splittable[split], axis=1) <= j[:, None]).sum(axis=1)
+            low = lo[split, feat]
+            with np.errstate(over="ignore"):  # reported below, as uniform does
+                span = hi[split, feat] - low
+            if not np.isfinite(span).all():
+                raise OverflowError("Range exceeds valid bounds")
+            # a node that does not split keeps every point on side 0
+            edge = np.full(live.size, np.inf)
+            edge[split] = low + span * u
+            feature[split] = feat
+            cut[split] = edge[split]
+            side = pts[sample, np.repeat(feature, size)] >= np.repeat(edge, size)
+            # keys stay below 2 * _N_TREES; int16 keys sort by radix
+            keys = np.repeat(np.arange(0, 2 * live.size, 2, dtype=np.int16), size) + side
+            order[pos] = sample[np.argsort(keys, kind="stable")]
+            n_left = size[split] - np.add.reduceat(side, offsets)[split]
+            slots = 2 * (n_popped + split)
+            kids = np.array([  # (node, right | left, slot start size depth)
+                [slots + 1, start[split] + n_left, size[split] - n_left, depth[split] + 1],
+                [slots, start[split], n_left, depth[split] + 1]]).transpose(2, 0, 1)
+            # a leaf draws nothing, so it is settled at once and never pushed
+            push = (kids[..., 2] > 1) & (kids[..., 3] < height_limit)
+            rows, sides = np.nonzero(push)
+            level = top[owner, None] + np.cumsum(push, axis=1) - push  # left child on top
+            stack[owner[rows], level[rows, sides]] = kids[rows, sides]
+            top[owner] += push.sum(axis=1)
+            leaves = kids[~push]
+            settled.append((np.zeros_like(leaves[:, 0]), leaves[:, 3] + c[leaves[:, 2]],
+                            leaves[:, 0].copy()))  # a view would keep all four columns
+        visited.append((feature, cut, slot.copy()))
+        n_popped += live.size
 
-    feature, cut, slot = (np.concatenate(col) for col in zip(*visited))
-    child = np.repeat(np.arange(n_nodes), 2)
-    child[slot[_N_TREES:]] = np.arange(_N_TREES, n_nodes)
+    # settled leaves are numbered after every popped node
+    feature, cut, slot = (np.concatenate(col) for col in zip(*visited, *settled))
+    child = np.repeat(np.arange(feature.size), 2)
+    child[slot[_N_TREES:]] = np.arange(_N_TREES, feature.size)
     return feature, cut, child
 
 
@@ -155,18 +213,16 @@ def iforest_scores(ds: Dataset, seed: int = 0) -> np.ndarray:
     by index, so the scores are not permutation-equivariant: shuffling the
     rows changes which points each tree samples.
 
-    The trees grow in lockstep.  Every tree keeps its own depth-first
-    stack, left child on top, and each step pops the next node of every
-    live tree.  The popped nodes' subsamples are concatenated, and their
-    per-node bounds, splittable features, thresholds and splits are
-    whole-array operations.  Only the two draws of a splitting node,
-    integers(#splittable) and random(), are made one node at a time, from
-    that tree's generator.  Since a tree only ever draws for its own nodes,
-    in its own depth-first order, every generator makes the same draws in
-    the same order as a tree grown recursively on its own, and the trees
-    are the same.  The threshold lo + (hi - lo) * random() is how
-    uniform(lo, hi) computes it, bit for bit; like uniform, a range beyond
-    the float range raises OverflowError.
+    The trees grow in lockstep (see _grow_forest), yet every tree is the
+    one a recursive build of that tree alone would grow: its generator
+    makes the same draws in the same order, integers(#splittable) and then
+    random() at each splitting node, depth first, left before right.  The
+    threshold lo + (hi - lo) * random() is how uniform(lo, hi) computes
+    it, bit for bit; like uniform, a range beyond the float range raises
+    OverflowError.  Past each tree's choice(), the draws are decoded from
+    the generator's raw 64-bit words (see _Draws).  That relies on numpy
+    2.x's PCG64 internals, and the tests that compare these scores bitwise
+    with a tree-by-tree oracle on the real generator guard it.
 
     All trees then descend together through one flat node table, over
     blocks of points that bound the memory.  Each point's path sum adds its

@@ -80,6 +80,8 @@ def gen_clusters_outliers(
         raise ConfigError("counts and dim must be positive (outliers may be 0)")
     if not (math.isfinite(separation) and separation > 0):
         raise ConfigError(f"separation must be positive and finite, got {separation}")
+    if seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     centers = _place_centers(rng, n_clusters, dim, separation)
     clusters = [
@@ -108,6 +110,8 @@ def gen_imbalance_series(
     for lv in levels:
         if not (math.isfinite(lv) and lv >= 1):
             raise ConfigError(f"imbalance level must be finite and >= 1, got {lv}")
+    if seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     out: list[tuple[Dataset, Labels]] = []
     for lv, child in zip(levels, np.random.SeedSequence(seed).spawn(len(levels))):
         rng = np.random.default_rng(child)

@@ -231,6 +231,15 @@ def test_fractional_label_column_is_data_error(tmp_path, capsys):
     assert err.startswith("data error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("extra", [[], ["--imbalance-level", "4"]], ids=["clusters", "imbalance"])
+def test_synth_negative_seed_exits_two_and_writes_nothing(tmp_path, capsys, extra):
+    out = tmp_path / "data.csv"
+    assert main(["synth", *extra, "--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_imbalance_synth(tmp_path):
     out = tmp_path / "imb.csv"
     code = main(["synth", "--imbalance-level", "4", "--seed", "1",

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from osd.dataset import Dataset
-from osd.detectors import _path_lengths, iforest_scores, knn_dist_scores, lof_scores
+from osd.detectors import _Draws, _path_lengths, iforest_scores, knn_dist_scores, lof_scores
 from osd.errors import ConfigError
 
 from oracles import _average_path_length, iforest_oracle, knn_oracle, lof_oracle
@@ -169,6 +169,9 @@ _IFOREST_CASES = {
     "all_equal": np.full((20, 2), 3.5),
     "rounded_duplicates": np.round(np.random.default_rng(9).uniform(size=(400, 2)), 1),
     "fewer_than_subsample": _SPREAD[:90],
+    # choice() leaves half a raw word pending above 256 points, not at 256
+    "exactly_subsample": _SPREAD[:256],
+    "one_over_subsample": _SPREAD[:257],
     "more_than_subsample": _SPREAD,
     "scaled_1e-12": _SPREAD * 1e-12,
     "scaled_1e12": _SPREAD * 1e12,
@@ -190,6 +193,31 @@ def test_iforest_equals_tree_oracle_bitwise(case, seed):
     assert np.array_equal(iforest_scores(Dataset(pts), seed=seed), iforest_oracle(pts, seed))
 
 
+@pytest.mark.parametrize("pending", [False, True], ids=["no_pending_half", "pending_half"])
+def test_raw_word_draws_equal_generator_draws(pending):
+    # 2**31 + 1 rejects about half of its 32-bit draws, so some pairs draw again
+    ms = [1, *range(2, 60), 2**31 + 1, 2**32 - 1]
+    seeds = np.random.SeedSequence(77).spawn(len(ms))
+
+    def generators():
+        rngs = [np.random.default_rng(s) for s in seeds]
+        for rng in rngs:
+            if pending:
+                rng.integers(5)  # takes the low half of a word and keeps the high half
+            assert rng.bit_generator.state["has_uint32"] == pending
+        return rngs
+
+    twins = generators()
+    draws = _Draws(generators(), 3)  # 3 words per block, so blocks are refilled often
+    pick = np.random.default_rng(78)
+    for step in range(60):
+        trees = np.flatnonzero(pick.random(len(ms)) < 0.7)  # not every tree draws each step
+        m = np.array([ms[(t + step) % len(ms)] for t in trees])
+        j, u = draws.pairs(trees, m)
+        assert j.tolist() == [twins[t].integers(k) for t, k in zip(trees, m.tolist())]
+        assert u.tolist() == [twins[t].random() for t in trees]
+
+
 def test_iforest_range_beyond_float_raises_like_oracle():
     # hi - lo overflows to inf, which Generator.uniform refuses
     pts = np.array([[-1e308], [1e308], [0.0], [5.0]])
@@ -199,15 +227,19 @@ def test_iforest_range_beyond_float_raises_like_oracle():
         iforest_oracle(pts, 0)
 
 
+@st.composite
+def _forest_rows(draw):
+    d = draw(st.integers(1, 4))
+    if draw(st.booleans()):  # above the subsample size, so a half word is pending after choice()
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return rng.uniform(-3, 3, size=(draw(st.integers(257, 400)), d))
+    n = draw(st.integers(2, 60))
+    return draw(st.lists(st.lists(st.floats(-3, 3), min_size=d, max_size=d), min_size=n, max_size=n))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
-    st.integers(2, 60).flatmap(
-        lambda n: st.integers(1, 4).flatmap(
-            lambda d: st.lists(
-                st.lists(st.floats(-3, 3), min_size=d, max_size=d), min_size=n, max_size=n
-            )
-        )
-    ),
+    _forest_rows(),
     st.sampled_from([0, 1, 3]),  # decimals kept: fewer force more ties
     st.integers(0, 2**32 - 1),
 )

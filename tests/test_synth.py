@@ -83,6 +83,10 @@ def test_parameter_validation():
     for size in (0, -1):
         with pytest.raises(ConfigError):
             gen_imbalance_series([2.0], 0, pts_per_cluster=size)
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0, got -1"):
+        gen_clusters_outliers(2, 10, 1, 2, 10.0, -1)
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0, got -1"):
+        gen_imbalance_series([2.0], -1)
 
 
 def test_centers_that_cannot_be_placed_are_config_error(monkeypatch):
