@@ -7,6 +7,7 @@ labels and transformed positions stay aligned by index.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,6 +89,38 @@ def _is_number(token: str) -> bool:
     return True
 
 
+def _header(row: list[str]) -> list[str] | None:
+    return None if all(map(_is_number, row)) else [cell.strip() for cell in row]
+
+
+def _label_index(column: str | int | None, header: list[str] | None, width: int) -> int | None:
+    if column is None:
+        return None
+    if isinstance(column, str) and not _is_number(column):
+        if header is None:
+            raise DataError(f"label column {column!r} requested but file has no header")
+        if column not in header:
+            raise DataError(f"label column {column!r} not found in header")
+        return header.index(column)
+    try:
+        index = float(column)
+    except OverflowError:  # an int beyond the float range
+        index = np.inf
+    if np.isinf(index):  # also a string beyond it, such as '1e400'
+        raise DataError("label column index out of range")
+    if not index.is_integer():
+        raise DataError(f"label column index {column!r} is not an integer")
+    if not 0 <= index < width:
+        raise DataError(f"label column index {int(index)} out of range")
+    return int(index)
+
+
+def _split(values: np.ndarray, label_idx: int | None) -> tuple[Dataset, Labels | None]:
+    if label_idx is None:
+        return Dataset(values), None
+    return Dataset(np.delete(values, label_idx, axis=1)), Labels(values[:, label_idx])
+
+
 def load_csv(
     path: str | Path, label_column: str | int | None = None
 ) -> tuple[Dataset, Labels | None]:
@@ -101,7 +134,21 @@ def load_csv(
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
+    # loadtxt takes a subset of float()'s spellings; the row loop retries or names the fault.
+    with contextlib.suppress(OSError, ValueError, StopIteration, csv.Error):
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            first = next(row for row in reader if row)
+            lines, header = reader.line_num, _header(first)
+            next(row for row in reader if row)  # loadtxt warns on a body without rows
+        values = np.loadtxt(path, delimiter=",", skiprows=lines - (header is None), comments=None,
+                            quotechar=None, encoding="utf-8-sig", ndmin=2)
+        if values.shape[1] == len(first):
+            return _split(values, _label_index(label_column, header, len(first)))
+    return _load_rows(path, label_column)
 
+
+def _load_rows(path: Path, label_column: str | int | None) -> tuple[Dataset, Labels | None]:
     # utf-8-sig drops the byte-order mark some spreadsheet exports write, which
     # would otherwise make the first cell non-numeric and the first row a header.
     # Each row keeps its file line number for messages; blank lines are dropped.
@@ -116,34 +163,12 @@ def load_csv(
 
     # Measured before any header is split off, so a header of another width is a ragged row.
     width = len(rows[0][1])
-    header: list[str] | None = None
-    if any(not _is_number(cell) for cell in rows[0][1]):
-        header = [cell.strip() for cell in rows[0][1]]
+    header = _header(rows[0][1])
+    if header is not None:
         rows = rows[1:]
         if not rows:
             raise DataError(f"no data rows in {path}")
-    label_idx: int | None = None
-    if label_column is not None:
-        if isinstance(label_column, str) and not _is_number(label_column):
-            if header is None:
-                raise DataError(
-                    f"label column {label_column!r} requested but file has no header"
-                )
-            if label_column not in header:
-                raise DataError(f"label column {label_column!r} not found in header")
-            label_idx = header.index(label_column)
-        else:
-            try:
-                index = float(label_column)
-            except OverflowError:  # an int beyond the float range
-                index = np.inf
-            if np.isinf(index):  # also a string beyond it, such as '1e400'
-                raise DataError("label column index out of range")
-            if not index.is_integer():
-                raise DataError(f"label column index {label_column!r} is not an integer")
-            label_idx = int(index)
-            if not 0 <= label_idx < width:
-                raise DataError(f"label column index {label_idx} out of range")
+    label_idx = _label_index(label_column, header, width)
 
     values = np.empty((len(rows), width), dtype=np.float64)
     for r, (line, row) in enumerate(rows):
@@ -164,15 +189,12 @@ def load_csv(
         r, c = np.argwhere(bad)[0]
         raise DataError(f"non-finite cell {rows[r][1][c]!r} at row {rows[r][0]}, column {c + 1}")
 
-    if label_idx is None:
-        return Dataset(values), None
-
-    raw = values[:, label_idx]
-    if not np.all(np.isin(raw, (0.0, 1.0))):
-        bad = int(np.argwhere(~np.isin(raw, (0.0, 1.0)))[0][0])
-        raise DataError(f"label value {float(raw[bad])} at row {rows[bad][0]} is not 0 or 1")
-    feats = np.delete(values, label_idx, axis=1)
-    return Dataset(feats), Labels(raw.astype(np.int8))
+    if label_idx is not None:
+        raw = values[:, label_idx]
+        if not np.all(np.isin(raw, (0.0, 1.0))):
+            bad = int(np.argwhere(~np.isin(raw, (0.0, 1.0)))[0][0])
+            raise DataError(f"label value {float(raw[bad])} at row {rows[bad][0]} is not 0 or 1")
+    return _split(values, label_idx)
 
 
 def min_max_normalize(ds: Dataset) -> Dataset:

@@ -309,8 +309,11 @@ def write_points_csv(path: str | Path, ds: Dataset, labels: Labels | None = None
     if labels is not None:
         cols.append("label")
         data = np.column_stack([ds.points, labels.flags])
-    header = ",".join(cols)
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+    line = ",".join(["%.17g"] * data.shape[1]) + "\n"  # np.savetxt's bytes, a block at a time
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for block in np.split(data, range(4096, len(data), 4096)):
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_partition_csv(path: str | Path, partition: BlockPartition) -> None:

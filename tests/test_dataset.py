@@ -3,10 +3,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from osd.dataset import Dataset, Labels, load_csv, min_max_normalize
+from osd.dataset import Dataset, Labels, _load_rows, load_csv, min_max_normalize
 from osd.errors import DataError
 
 
@@ -106,6 +106,7 @@ def test_messages_name_the_file_line_after_blank_lines(tmp_path, text, label, me
         ("", None, "empty file: {path}"),
         ("\n\n", None, "empty file: {path}"),
         ("x,y\n", None, "no data rows in {path}"),
+        ("\n\nx,y\n", None, "no data rows in {path}"),
         ("1,2\n3,4\n", "y", "label column 'y' requested but file has no header"),
         ("x,y\n1,0\n3,1\n", "label", "label column 'label' not found in header"),
         ("1,2\n3,4\n", 2, "label column index 2 out of range"),
@@ -116,9 +117,10 @@ def test_messages_name_the_file_line_after_blank_lines(tmp_path, text, label, me
         ("1,2\n3,4\n", "-1e400", "label column index out of range"),
         ("1,2\n3,4\n", "1" * 401, "label column index out of range"),
     ],
-    ids=["empty", "blank-lines", "header-only", "name-without-header", "name-not-in-header",
-         "index-past-end", "negative-index", "index-beyond-float", "negative-beyond-float",
-         "string-beyond-float", "negative-string-beyond-float", "string-of-401-digits"],
+    ids=["empty", "blank-lines", "header-only", "blank-lines-then-header-only",
+         "name-without-header", "name-not-in-header", "index-past-end", "negative-index",
+         "index-beyond-float", "negative-beyond-float", "string-beyond-float",
+         "negative-string-beyond-float", "string-of-401-digits"],
 )
 def test_refusals_without_a_file_line_name_the_file_or_label_column(tmp_path, text, label, message):
     f = tmp_path / "pts.csv"
@@ -266,3 +268,106 @@ def test_csv_round_trip_preserves_rows_and_labels(tmp_path):
     back, back_labels = load_csv(out, "label")
     assert back.count == ds.count
     np.testing.assert_array_equal(back_labels.flags, labels.flags)
+
+
+@pytest.mark.parametrize("n", [2, 4096, 4097, 9000])  # around and across a block of rows
+def test_points_csv_bytes_equal_savetxt(tmp_path, n):
+    from osd.pipeline import write_points_csv
+
+    rng = np.random.default_rng(n)
+    special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, np.finfo(float).max, 3.0, -7.0, 1e16]
+    points = np.column_stack([rng.normal(size=n), rng.choice(special, n),
+                              rng.integers(-1000, 1000, n).astype(float)])
+    labels = Labels(rng.integers(0, 2, n))
+    for flags, header in ((None, "x0,x1,x2"), (labels, "x0,x1,x2,label")):
+        data = points if flags is None else np.column_stack([points, flags.flags])
+        np.savetxt(tmp_path / "ref.csv", data, delimiter=",", header=header, comments="",
+                   fmt="%.17g")
+        write_points_csv(tmp_path / "out.csv", Dataset(points), flags)
+        assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _outcome(load, path, label):
+    try:
+        ds, labels = load(path, label)
+    except DataError as exc:
+        return type(exc), str(exc)
+    flags = None if labels is None else labels.flags.tobytes()
+    return ds.points.shape, ds.points.tobytes(), flags
+
+
+# Spellings float() and loadtxt may disagree on: underscores, Unicode digits and
+# spaces, signs, bare points, exponents, inf/nan, hex, Fortran exponents, quotes.
+ODD_CELLS = st.sampled_from([
+    "1_0", "1_000.5", "\u0661", "\u0663.\u0665", "\uff11", " 1 ", "\t2\t", "\xa03", "4\xa0",
+    "\u30005", "+1", "-2", "+-1", "1.", ".5", "-.5", "1e5", "1E-3", "2e+308", "1e400", "-0",
+    "inf", "-Infinity", "+inf", "iNf", "nan", "-NAN", "0x1A", "1d5", "0b1", "1.5j", "1#2", "#1",
+    '"1"', '"2,3"', '" 4"', "", " ", "abc", "0", "1", "0.0", "1.0", "2",
+])
+NUMBERS = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+           | st.integers(-10**20, 10**20).map(str)
+           | st.from_regex(r"[+-]?[0-9]{1,22}(\.[0-9]{0,22})?([eE][+-]?[0-9]{1,3})?",
+                           fullmatch=True))
+FLAGS = st.sampled_from(["0", "1", "0.0", "1.", "-0", " 1"])
+NAMES = st.sampled_from(["x", "y", "label", " label ", '"la,bel"', "1", "nan", ""])
+ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+WHITESPACE_LINES = st.sampled_from([" ", "\t", "\xa0"])
+
+
+@st.composite
+def csv_texts(draw):
+    # Half the files are plain, so that the one-pass parse runs to the end; in
+    # the other half one cell in four is odd, and rows may be ragged or blank.
+    width = draw(st.integers(1, 3))
+    flag_col = draw(st.integers(0, width - 1))  # the column of 0/1 spellings
+    odd = draw(st.booleans())
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(draw(st.lists(NAMES, min_size=width, max_size=width))))
+    for _ in range(draw(st.integers(0 if odd else 2, 6))):
+        n = draw(st.sampled_from([width] * 6 + [width - 1, width + 1])) if odd else width
+        cells = [draw(ODD_CELLS if odd and draw(st.integers(0, 3)) == 0
+                      else FLAGS if c == flag_col else NUMBERS) for c in range(n)]
+        lines.append(",".join(cells))
+    for _ in range(draw(st.integers(0, 2))):
+        blank = draw(WHITESPACE_LINES) if odd and draw(st.booleans()) else ""
+        lines.insert(draw(st.integers(0, len(lines))), blank)
+    text = "".join(line + draw(ENDS) for line in lines)
+    if draw(st.booleans()):
+        text = text[:-1]  # no line end after the last line
+    bom = draw(st.sampled_from(["", "", "\ufeff"]))
+    label = draw(st.sampled_from([None, None, flag_col, flag_col, str(flag_col), "label", "x"]))
+    return bom + text, label
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_texts())
+@example(("1\n1#2\n", None))  # a comment character is a cell like any other
+def test_load_csv_equals_the_row_loop(tmp_path, case):
+    # load_csv parses most files in one loadtxt pass and hands the rest to the
+    # row loop; either way it must return the row loop's array bit for bit, or
+    # raise its exact message.
+    text, label = case
+    f = tmp_path / "pts.csv"
+    f.write_bytes(text.encode("utf-8"))
+    assert _outcome(load_csv, f, label) == _outcome(_load_rows, f, label)
+
+
+@pytest.mark.parametrize(
+    "text, label",
+    [("x,y\n1,2\n3,4\n", None), ("1,2\n3,4\n", None), ("\n\nx,label\n\n1,0\n2,1\n", "label"),
+     ("x\r\n1\r\n\r\n2\r\n", None), ("x\r1\r2\r", None), ("\ufeff1\n2\n", None),
+     ("x,y\n 1 ,\t2\t\n.5,1.\n+1e5,-2E-3\n", None)],
+    ids=["header", "no-header", "blank-lines-and-label", "crlf", "bare-cr", "bom", "odd-spacing"],
+)
+def test_plain_files_never_reach_the_row_loop(tmp_path, monkeypatch, text, label):
+    f = tmp_path / "pts.csv"
+    f.write_bytes(text.encode("utf-8"))
+    expected = _outcome(_load_rows, f, label)
+
+    def refuse(*args):
+        raise AssertionError("row loop called")
+
+    monkeypatch.setattr("osd.dataset._load_rows", refuse)
+    assert _outcome(load_csv, f, label) == expected
