@@ -156,7 +156,7 @@ def _load_rows(path: Path, label_column: str | int | None) -> tuple[Dataset, Lab
         with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = [(reader.line_num, row) for row in reader if row]
-    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # no access, not UTF-8, a huge cell
         raise DataError(f"cannot read {path}: {exc}") from None
     if not rows:
         raise DataError(f"empty file: {path}")

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .dataset import Dataset
+from .errors import DataError
 from .knngraph import build
 
 __all__ = ["lof_scores", "iforest_scores", "knn_dist_scores"]
@@ -73,23 +74,26 @@ class _Draws:
     word, whose high half is then pending.  Lemire's method maps the half
     to prod >> 32, where prod = half * m, and draws again while
     prod mod 2^32 < (2^32 - m) mod m.  random() leaves a pending half
-    alone.  Each tree reads its generator's words in blocks; random_raw
-    refills a spent block and so continues the stream exactly.
+    alone.  Tree t of group g reads generator t's words with a cursor and a
+    pending half of its own, so every group's tree t makes the draws of one
+    generator.  random_raw appends a block when some cursor reaches the end
+    and so continues each stream exactly.
     """
 
-    def __init__(self, rngs: list[np.random.Generator], block: int):
+    def __init__(self, rngs: list[np.random.Generator], block: int, groups: int):
         self.rngs = rngs
         self.words = np.stack([rng.bit_generator.random_raw(block) for rng in rngs])
-        self.cursor = np.zeros(len(rngs), dtype=np.intp)
+        self.block = block
+        self.cursor = np.zeros(groups * len(rngs), dtype=np.intp)
         state = [rng.bit_generator.state for rng in rngs]
-        self.pending = np.array([s["has_uint32"] == 1 for s in state])
-        self.half = np.array([s["uinteger"] for s in state], dtype=np.uint64)
+        self.pending = np.tile([s["has_uint32"] == 1 for s in state], groups)
+        self.half = np.tile(np.array([s["uinteger"] for s in state], dtype=np.uint64), groups)
 
     def _next(self, trees: np.ndarray) -> np.ndarray:
-        for t in trees[self.cursor[trees] == self.words.shape[1]].tolist():
-            self.words[t] = self.rngs[t].bit_generator.random_raw(self.words.shape[1])
-            self.cursor[t] = 0
-        word = self.words[trees, self.cursor[trees]]
+        if self.cursor.max() == self.words.shape[1]:  # rare: a stream has read every word
+            more = [rng.bit_generator.random_raw(self.block) for rng in self.rngs]
+            self.words = np.hstack([self.words, more])
+        word = self.words[trees % len(self.rngs), self.cursor[trees]]
         self.cursor[trees] += 1
         return word
 
@@ -111,45 +115,51 @@ class _Draws:
         return j, (self._next(trees) >> 11) * 2.0**-53
 
 
+@np.errstate(over="ignore")  # only span can overflow, and it is checked
 def _grow_forest(
-    pts: np.ndarray, seed: int, height_limit: int, c: np.ndarray
+    pts: np.ndarray, groups: int, seed: int, height_limit: int, c: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """Grow the trees in lockstep into one flat node table.
+    """Grow groups x 100 trees in lockstep into one flat node table.
+
+    pts stacks the groups' point sets, N rows each.  Tree g * 100 + t
+    samples the rows of tree t, offset by g * N, and makes tree t's draws
+    (see _Draws), so each group grows the forest of its own point set.
 
     Every tree keeps a depth-first stack of the nodes that may split, left
     child on top, and each step pops the next node of every live tree.  The
     popped nodes' subsamples are concatenated, and their bounds, splittable
-    features, draws, thresholds and splits are whole-array operations.  A
-    child of at most one point, or at the height limit, is a leaf: it draws
-    nothing, so it goes into the table when its parent splits and is never
-    pushed.  c holds c(m) for m up to the subsample size.
+    features, draws, thresholds and splits are whole-array operations over
+    at most 100 subsamples (see _steps).  A child of at most one point, or
+    at the height limit, is a leaf: it draws nothing, so it goes into the
+    table when its parent splits and is never pushed.  c holds c(m) for m
+    up to the subsample size.
 
     Returns (feature, cut, child): node i sends point x on to child[2i] if
     x[feature[i]] < cut[i], else to child[2i + 1].  Tree t's root is node t.
     A leaf is both its own children, and its cut is its path length
     depth + c(leaf size).
     """
-    n = len(pts)
+    n = len(pts) // groups
     subsample = len(c) - 1
+    n_trees = groups * _N_TREES
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(_N_TREES)]
     # Tree t's subsample is block t of `order`.  A node owns a slice of its
     # tree's block, and splitting it reorders the slice into left | right.
     order = np.concatenate([rng.choice(n, size=subsample, replace=False) for rng in rngs])
-    draws = _Draws(rngs, subsample // 4 + 1)  # most trees refill once
+    order = (order + np.arange(groups)[:, None] * n).ravel()
+    draws = _Draws(rngs, subsample // 4 + 1, groups)  # most trees read one more block
 
     # stack[t, i] is a pending node of tree t that may split: (its slot in
     # child, start in order, size, depth).  A depth-first stack never holds
     # more than height_limit + 1 nodes.  Roots have no slot.
-    stack = np.zeros((_N_TREES, height_limit + 1, 4), dtype=np.intp)
-    stack[:, 0, 1] = np.arange(_N_TREES) * subsample
+    stack = np.zeros((n_trees, height_limit + 1, 4), dtype=np.intp)
+    stack[:, 0, 1] = np.arange(n_trees) * subsample
     stack[:, 0, 2] = subsample
-    top = np.ones(_N_TREES, dtype=np.intp)
+    top = np.ones(n_trees, dtype=np.intp)
     n_popped = 0
-    visited = []  # per step: (feature, cut, slot) of every popped node
-    settled = []  # per step: the same of the leaves its splits made
-    while (live := np.flatnonzero(top)).size:
-        top[live] -= 1
-        slot, start, size, depth = stack[live, top[live]].T
+    visited = []  # per chunk: (feature, cut, slot) of every popped node
+    settled = []  # per chunk: the same of the leaves its splits made
+    for live, (slot, start, size, depth) in _steps(stack, top, _N_TREES * subsample):
         offsets = np.cumsum(size) - size
         pos = np.repeat(start - offsets, size) + np.arange(offsets[-1] + size[-1])
         sample = order[pos]
@@ -167,9 +177,8 @@ def _grow_forest(
             j, u = draws.pairs(owner, counts[split])
             feat = (np.cumsum(splittable[split], axis=1) <= j[:, None]).sum(axis=1)
             low = lo[split, feat]
-            with np.errstate(over="ignore"):  # reported below, as uniform does
-                span = hi[split, feat] - low
-            if not np.isfinite(span).all():
+            span = hi[split, feat] - low
+            if not np.isfinite(span).all():  # as uniform reports it
                 raise OverflowError("Range exceeds valid bounds")
             # a node that does not split keeps every point on side 0
             edge = np.full(live.size, np.inf)
@@ -177,7 +186,7 @@ def _grow_forest(
             feature[split] = feat
             cut[split] = edge[split]
             side = pts[sample, np.repeat(feature, size)] >= np.repeat(edge, size)
-            # keys stay below 2 * _N_TREES; int16 keys sort by radix
+            # a node holds 2+ points, so keys stay below 100 * 256; int16 keys sort by radix
             keys = np.repeat(np.arange(0, 2 * live.size, 2, dtype=np.int16), size) + side
             order[pos] = sample[np.argsort(keys, kind="stable")]
             n_left = size[split] - np.add.reduceat(side, offsets)[split]
@@ -200,11 +209,22 @@ def _grow_forest(
     # settled leaves are numbered after every popped node
     feature, cut, slot = (np.concatenate(col) for col in zip(*visited, *settled))
     child = np.repeat(np.arange(feature.size), 2)
-    child[slot[_N_TREES:]] = np.arange(_N_TREES, feature.size)
+    child[slot[n_trees:]] = np.arange(n_trees, feature.size)
     return feature, cut, child
 
 
-def iforest_scores(ds: Dataset, seed: int = 0) -> np.ndarray:
+def _steps(stack: np.ndarray, top: np.ndarray, cap: int):
+    """Pop the next node of every live tree, step by step, and yield (trees, node
+    columns): all of them, or chunks of 100 trees if the nodes hold over cap points."""
+    while (live := np.flatnonzero(top)).size:
+        top[live] -= 1
+        nodes = stack[live, top[live]].T
+        step = live.size if nodes[2].sum() <= cap else _N_TREES
+        for first in range(0, live.size, step):
+            yield live[first:first + step], nodes[:, first:first + step]
+
+
+def iforest_scores(*datasets: Dataset, seed: int = 0) -> np.ndarray | tuple[np.ndarray, ...]:
     """Isolation-forest scores 2^(-E[h] / c(subsample)), in (0, 1).
 
     100 trees, each grown on min(256, N) points drawn without replacement.
@@ -212,6 +232,9 @@ def iforest_scores(ds: Dataset, seed: int = 0) -> np.ndarray:
     so the scores are deterministic for a fixed seed.  The draws pick rows
     by index, so the scores are not permutation-equivariant: shuffling the
     rows changes which points each tree samples.
+
+    Like np.atleast_1d, one dataset gives one array and several of one
+    shape give a tuple, each equal to its own call; their forests grow together.
 
     The trees grow in lockstep (see _grow_forest), yet every tree is the
     one a recursive build of that tree alone would grow: its generator
@@ -224,29 +247,33 @@ def iforest_scores(ds: Dataset, seed: int = 0) -> np.ndarray:
     2.x's PCG64 internals, and the tests that compare these scores bitwise
     with a tree-by-tree oracle on the real generator guard it.
 
-    All trees then descend together through one flat node table, over
-    blocks of points that bound the memory.  Each point's path sum adds its
-    leaf values, depth + c(leaf size), one tree at a time in tree order,
-    as a tree-by-tree build does: a pairwise sum over the trees would round
-    differently.
+    All points then descend together through their own group's trees of
+    one flat node table, over blocks of points that bound the memory.  Each
+    point's path sum adds its leaf values, depth + c(leaf size), one tree
+    at a time in tree order, as a tree-by-tree build does: a pairwise sum
+    over the trees would round differently.
     """
-    n, d = ds.points.shape
-    flat = ds.points.ravel()
+    if len(shapes := {ds.points.shape for ds in datasets}) != 1:
+        raise DataError(f"iforest_scores needs datasets of one shape, got {sorted(shapes)}")
+    ((n, d),) = shapes
+    groups = len(datasets)
+    pts = datasets[0].points if groups == 1 else np.concatenate([ds.points for ds in datasets])
+    flat = pts.ravel()
     subsample = min(_SUBSAMPLE, n)
     height_limit = math.ceil(math.log2(subsample))
     c = _path_lengths(subsample)
-    feature, cut, child = _grow_forest(ds.points, seed, height_limit, c)
-    roots = np.arange(_N_TREES)[:, None]
-    paths = np.zeros(n)
+    feature, cut, child = _grow_forest(pts, groups, seed, height_limit, c)
+    paths = np.zeros(groups * n)
     block = max(1, _BLOCK // _N_TREES)
-    for first in range(0, n, block):
-        last = min(first + block, n)
+    for first in range(0, groups * n, block):
+        last = min(first + block, groups * n)
         row_starts = np.arange(first * d, last * d, d)
-        at = np.repeat(roots, last - first, axis=1)  # (trees, points) block
+        # (trees, points) block; row r descends through its group's roots
+        at = np.arange(_N_TREES)[:, None] + np.arange(first, last) // n * _N_TREES
         for _ in range(height_limit):
             x = flat.take(row_starts + feature.take(at))
             at = child.take(2 * at + (x >= cut.take(at)))
         for leaf in cut.take(at):  # one tree at a time, in tree order
             paths[first:last] += leaf
-    mean_path = paths / _N_TREES
-    return 2.0 ** (-mean_path / c[subsample])
+    scores = 2.0 ** (-(paths / _N_TREES) / c[subsample])
+    return scores if groups == 1 else tuple(scores.reshape(groups, n))

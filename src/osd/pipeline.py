@@ -260,14 +260,16 @@ def run_osd(
     return result, partition, report
 
 
-def _run_detector(name: str, ds: Dataset, config: RunConfig) -> np.ndarray:
-    """Fixed settings: LOF with 20 neighbors, iForest's defaults, kNN at the transform's k."""
-    n = ds.count
+def _run_detector(
+    name: str, before: Dataset, after: Dataset, config: RunConfig
+) -> tuple[np.ndarray, ...]:
+    """Both sides' scores: LOF with 20 neighbors, iForest's defaults, kNN at the transform's k."""
+    if name == "iforest":  # both forests grow in one pass
+        return detectors.iforest_scores(before, after, seed=config.seed)
+    n = before.count
     if name == "lof":
-        return detectors.lof_scores(ds, min(20, n - 1))
-    if name == "iforest":
-        return detectors.iforest_scores(ds, seed=config.seed)
-    return detectors.knn_dist_scores(ds, config.resolve_k(n))  # "knn"
+        return tuple(detectors.lof_scores(ds, min(20, n - 1)) for ds in (before, after))
+    return tuple(detectors.knn_dist_scores(ds, config.resolve_k(n)) for ds in (before, after))
 
 
 def evaluate(
@@ -293,8 +295,9 @@ def evaluate(
     timings: dict[str, float] = {}
     for name in config.detectors:
         t0 = time.perf_counter()
-        auc_before, ap_before = evaluate_scores(_run_detector(name, before, config), labels)
-        auc_after, ap_after = evaluate_scores(_run_detector(name, after, config), labels)
+        scores_before, scores_after = _run_detector(name, before, after, config)
+        auc_before, ap_before = evaluate_scores(scores_before, labels)
+        auc_after, ap_after = evaluate_scores(scores_after, labels)
         timings[name] = time.perf_counter() - t0
         results[name] = {"auc_before": auc_before, "ap_before": ap_before,
                          "auc_after": auc_after, "ap_after": ap_after}

@@ -126,6 +126,13 @@ def test_eval_requires_label_column(tmp_path):
     assert main(["eval", "--input", str(f), "--k", "1"]) == 3
 
 
+def test_cell_beyond_csv_field_limit_exits_three(tmp_path, capsys):
+    f = tmp_path / "long.csv"
+    f.write_text("x,label\n" + "1" * 140_000 + ",0\n2,1\n3,0\n")
+    assert main(["eval", "--input", str(f), "--label-col", "label"]) == 3
+    assert f"cannot read {f}:" in capsys.readouterr().err
+
+
 def test_missing_file_is_data_error():
     assert main(["transform", "--input", "/no/such.csv"]) == 3
 

@@ -163,6 +163,14 @@ def test_directory_is_data_error(tmp_path):
         load_csv(tmp_path)
 
 
+def test_cell_beyond_csv_field_limit_is_data_error(tmp_path):
+    # csv refuses a field longer than 131072 characters with csv.Error
+    f = tmp_path / "pts.csv"
+    f.write_text("x,label\n" + "1" * 140_000 + ",0\n2,1\n")
+    with pytest.raises(DataError, match=re.escape(f"cannot read {f}:") + ".*field limit"):
+        load_csv(f, "label")
+
+
 def test_ragged_row_rejected(tmp_path):
     f = tmp_path / "pts.csv"
     f.write_text("1,2\n3\n")

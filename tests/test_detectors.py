@@ -7,8 +7,15 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from osd.dataset import Dataset
-from osd.detectors import _Draws, _path_lengths, iforest_scores, knn_dist_scores, lof_scores
-from osd.errors import ConfigError
+from osd.detectors import (
+    _Draws,
+    _path_lengths,
+    _steps,
+    iforest_scores,
+    knn_dist_scores,
+    lof_scores,
+)
+from osd.errors import ConfigError, DataError
 
 from oracles import _average_path_length, iforest_oracle, knn_oracle, lof_oracle
 
@@ -193,6 +200,37 @@ def test_iforest_equals_tree_oracle_bitwise(case, seed):
     assert np.array_equal(iforest_scores(Dataset(pts), seed=seed), iforest_oracle(pts, seed))
 
 
+def _shifted(pts):
+    """A copy with its first half moved by the span, as the transform moves blocks."""
+    span = np.ptp(pts, axis=0)
+    out = pts.copy()
+    out[: len(pts) // 2] += np.where(span > 0, span, 1.0)
+    return out
+
+
+def _assert_pair_equals_single_calls_and_oracle(pts, seed):
+    other = _shifted(pts)
+    pair = iforest_scores(Dataset(pts), Dataset(other), seed=seed)
+    assert isinstance(pair, tuple) and len(pair) == 2
+    for scores, points in zip(pair, (pts, other)):
+        assert np.array_equal(scores, iforest_scores(Dataset(points), seed=seed))
+        assert np.array_equal(scores, iforest_oracle(points, seed))
+
+
+@pytest.mark.parametrize("case", sorted(_IFOREST_CASES))
+def test_iforest_pair_equals_single_calls_and_oracle_bitwise(case):
+    _assert_pair_equals_single_calls_and_oracle(_IFOREST_CASES[case], 5)
+
+
+def test_iforest_scores_refuses_no_dataset_or_mixed_shapes():
+    a = Dataset(np.zeros((10, 2)))
+    with pytest.raises(DataError, match="one shape"):
+        iforest_scores(seed=0)
+    for other in (Dataset(np.zeros((11, 2))), Dataset(np.zeros((10, 3)))):
+        with pytest.raises(DataError, match="one shape"):
+            iforest_scores(a, other, seed=0)
+
+
 @pytest.mark.parametrize("pending", [False, True], ids=["no_pending_half", "pending_half"])
 def test_raw_word_draws_equal_generator_draws(pending):
     # 2**31 + 1 rejects about half of its 32-bit draws, so some pairs draw again
@@ -207,15 +245,16 @@ def test_raw_word_draws_equal_generator_draws(pending):
             assert rng.bit_generator.state["has_uint32"] == pending
         return rngs
 
-    twins = generators()
-    draws = _Draws(generators(), 3)  # 3 words per block, so blocks are refilled often
     pick = np.random.default_rng(78)
-    for step in range(60):
-        trees = np.flatnonzero(pick.random(len(ms)) < 0.7)  # not every tree draws each step
-        m = np.array([ms[(t + step) % len(ms)] for t in trees])
-        j, u = draws.pairs(trees, m)
-        assert j.tolist() == [twins[t].integers(k) for t, k in zip(trees, m.tolist())]
-        assert u.tolist() == [twins[t].random() for t in trees]
+    for groups in (1, 2):  # tree g * len(ms) + t makes generator t's draws
+        twins = [rng for _ in range(groups) for rng in generators()]
+        draws = _Draws(generators(), 3, groups)  # 3 words per block, so blocks are added often
+        for step in range(60):
+            trees = np.flatnonzero(pick.random(len(twins)) < 0.7)  # not all trees draw each step
+            m = np.array([ms[(t + t // len(ms) + step) % len(ms)] for t in trees])
+            j, u = draws.pairs(trees, m)
+            assert j.tolist() == [twins[t].integers(k) for t, k in zip(trees, m.tolist())]
+            assert u.tolist() == [twins[t].random() for t in trees]
 
 
 def test_iforest_range_beyond_float_raises_like_oracle():
@@ -248,13 +287,30 @@ def test_iforest_equals_tree_oracle_bitwise_property(rows, decimals, seed):
     assert np.array_equal(iforest_scores(Dataset(pts), seed=seed), iforest_oracle(pts, seed))
 
 
+@settings(max_examples=20, deadline=None)
+@given(_forest_rows(), st.sampled_from([0, 1, 3]), st.integers(0, 2**32 - 1))
+def test_iforest_pair_equals_single_calls_and_oracle_property(rows, decimals, seed):
+    _assert_pair_equals_single_calls_and_oracle(np.round(np.array(rows), decimals), seed)
+
+
+def test_forest_steps_take_trees_in_chunks_beyond_a_hundred_subsamples():
+    # each of 250 trees holds a 2-point node on top of a 256-point node
+    stack = np.zeros((250, 2, 4), dtype=np.intp)
+    stack[:, 0, 2], stack[:, 1, 2] = 256, 2
+    steps = _steps(stack, np.full(250, 2), 100 * 256)
+    chunks = [(trees.size, nodes[2].sum()) for trees, nodes in steps]
+    assert chunks == [(250, 500), (100, 25600), (100, 25600), (50, 12800)]
+
+
 def test_iforest_memory_stays_small_at_large_n():
-    # a (trees, N) float64 block alone would take 49 MiB here
+    # a (trees, N) float64 block alone would take 49 MiB here; a pair's root
+    # step would gather 200 subsamples at once if it were not chunked
     ds = Dataset(np.random.default_rng(13).normal(size=(64_000, 5)))
-    tracemalloc.start()
-    try:
-        iforest_scores(ds, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    for datasets in ([ds], [ds, ds]):
+        tracemalloc.start()
+        try:
+            iforest_scores(*datasets, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from osd import detectors
 from osd.blocks import divide, find_inflection, weight_histogram
 from osd.dataset import Dataset, Labels
 from osd.errors import ConfigError, DataError
 from osd.explosion import constant_g, explode
 from osd.knngraph import build
+from osd.metrics import evaluate_scores
 from osd.pipeline import (
     LAWS,
     REPORT_SCHEMA_VERSION,
@@ -227,6 +229,27 @@ def test_evaluate_perfect_separation_scores_one():
     config = RunConfig(k=5, detectors=("knn",), normalize=False)
     report = evaluate(ds, ds, labels, config)
     assert report.detector_results["knn"]["auc_after"] == 1.0
+
+
+def test_evaluate_grows_both_forests_in_one_detectors_call(monkeypatch):
+    # the bench times the forest where evaluate looks it up: osd.detectors.iforest_scores
+    ds, labels = ring_dataset(12)
+    config = RunConfig(k=5, seed=3)
+    prepared = prepare(ds, config)
+    out, _, _ = run_osd(prepared, config)
+    real, calls = detectors.iforest_scores, []
+
+    def spy(*datasets, **kwargs):
+        calls.append((datasets, kwargs))
+        return real(*datasets, **kwargs)
+
+    monkeypatch.setattr(detectors, "iforest_scores", spy)
+    result = evaluate(prepared, out, labels, config).detector_results["iforest"]
+    [(datasets, kwargs)] = calls
+    assert datasets == (prepared, out) and kwargs == {"seed": 3}  # Datasets compare by identity
+    for side, ds_side in (("before", prepared), ("after", out)):
+        auc, ap = evaluate_scores(real(ds_side, seed=3), labels)
+        assert (result[f"auc_{side}"], result[f"ap_{side}"]) == (auc, ap)
 
 
 def test_evaluate_requires_labels():
