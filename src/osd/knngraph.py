@@ -11,9 +11,10 @@ blocks that bound memory; rows whose k-th distance ties the candidate
 horizon query again, as blocks, with twice the candidates.  No row is
 re-ranked on its own, so duplicated rows cost linear time.  A pass of
 several blocks ranks them on one thread per CPU in the process's affinity
-mask, sharing the memory budget of one block between them.  Each row's list
-depends only on that row and each block writes only its own rows, so the
-output cannot depend on block size or scheduling.
+mask, the calling thread among them, sharing the memory budget of one block
+between them.  Each row's list depends only on that row and each block
+writes only its own rows, so the output cannot depend on block size or
+scheduling.
 
 Under that total order a k-list is a prefix of every longer list.  The
 graph built on a Dataset is therefore kept on that instance and serves
@@ -165,13 +166,21 @@ def build(ds: Dataset, k: int) -> KnnGraph:
     while todo.size:
         step = max(1, _BLOCK_ROWS // _WORKERS * (k + 2) // (kq * reps_max))
         blocks = [todo[lo : lo + step] for lo in range(0, todo.size, step)]
-        kqs = [kq] * len(blocks)
+        flagged = [None] * len(blocks)  # by block, so the next pass keeps row order
+        queue = iter(range(len(blocks)))  # next() on it is atomic under the GIL
+
+        def drain() -> None:  # on the calling thread, beside any pool threads
+            for b in queue:
+                flagged[b] = rank(blocks[b], kq)
+
         if len(blocks) == 1 or _WORKERS == 1:
-            flagged = list(map(rank, blocks, kqs))
+            drain()
         else:
-            # map keeps block order, so the next pass's rows do too.
-            with ThreadPoolExecutor(_WORKERS) as pool:
-                flagged = list(pool.map(rank, blocks, kqs))
+            with ThreadPoolExecutor(_WORKERS - 1) as pool:
+                helpers = [pool.submit(drain) for _ in range(_WORKERS - 1)]
+                drain()
+            for helper in helpers:  # re-raises a pool thread's error
+                helper.result()
         todo, kq = np.concatenate(flagged), min(m, 2 * kq)
 
     neighbor_idx.setflags(write=False)

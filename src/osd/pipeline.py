@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import detectors
+from . import detectors, knngraph
 from .blocks import BlockPartition, divide, find_inflection, weight_histogram
 from .dataset import Dataset, Labels, min_max_normalize
 from .errors import ConfigError, DataError
@@ -139,8 +139,8 @@ class RunReport:
     A field left at its default (None, empty) means its stage did not run:
     evaluate() on its own fills only config, detector_results and timings.
     threshold and knee_bin are also None under the no-division ablation,
-    and knee_bin when config.threshold was set.  timings holds
-    wall-clock seconds per transform stage and per detector.
+    and knee_bin when config.threshold was set.  timings holds wall-clock
+    seconds per transform stage and per detector (each its own; they may overlap).
     """
 
     config: RunConfig
@@ -283,7 +283,9 @@ def evaluate(
 
     Returns a copy of ``report`` (the one run_osd produced under this same
     ``config``, or an empty one for it) with the detector results and
-    per-detector timings added; ``report`` itself is left as it was.
+    per-detector timings added; ``report`` itself is left as it was.  Each
+    timing is that detector's own wall time, and they may overlap: above one
+    k-NN block per worker, the iForest grows on its own thread beside LOF and kNN.
     """
     if report is not None and report.config != config:
         raise ConfigError("report was made under another config than evaluate's")
@@ -291,18 +293,37 @@ def evaluate(
         raise DataError("evaluation requires labels")
     if labels.count != before.count or labels.count != after.count:
         raise DataError("labels do not match the dataset length")
-    results: dict[str, dict[str, float]] = {}
-    timings: dict[str, float] = {}
-    for name in config.detectors:
+
+    def score(name: str) -> tuple[float, dict[str, float]]:
         t0 = time.perf_counter()
         scores_before, scores_after = _run_detector(name, before, after, config)
         auc_before, ap_before = evaluate_scores(scores_before, labels)
         auc_after, ap_after = evaluate_scores(scores_after, labels)
-        timings[name] = time.perf_counter() - t0
-        results[name] = {"auc_before": auc_before, "ap_before": ap_before,
-                         "auc_after": auc_after, "ap_after": ap_after}
+        return time.perf_counter() - t0, {"auc_before": auc_before, "ap_before": ap_before,
+                                          "auc_after": auc_after, "ap_after": ap_after}
+
+    names, outcomes = config.detectors, {}
+    # kd-tree queries and the forest's large gathers release the GIL; small inputs lose by it.
+    if ("iforest" in names and len(names) > 1 and knngraph._WORKERS > 1
+            and before.count > knngraph._BLOCK_ROWS // knngraph._WORKERS):
+        from concurrent.futures import ThreadPoolExecutor  # imported on first use, as in build
+        with ThreadPoolExecutor(1) as pool:
+            forest = pool.submit(score, "iforest")
+            try:  # in names order, so kNN after LOF reads LOF's k=20 graph
+                for name in names:
+                    if name != "iforest":
+                        outcomes[name] = score(name)
+            except Exception:  # the first failure in names order is raised
+                if names.index("iforest") < names.index(name) and forest.exception():
+                    raise forest.exception() from None
+                raise
+            outcomes["iforest"] = forest.result()
+    else:
+        for name in names:
+            outcomes[name] = score(name)
     base = report or RunReport(config)
-    return replace(base, detector_results=results, timings={**base.timings, **timings})
+    return replace(base, detector_results={name: outcomes[name][1] for name in names},
+                   timings={**base.timings, **{name: outcomes[name][0] for name in names}})
 
 
 def write_points_csv(path: str | Path, ds: Dataset, labels: Labels | None = None) -> None:

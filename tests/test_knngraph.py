@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -236,6 +237,33 @@ def test_pooled_build_equals_serial_and_leaves_no_thread(monkeypatch, k):
                 _assert_same_graph(g, graphs[0])
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pooled_build_starts_one_thread_fewer_and_ranks_on_the_caller(monkeypatch, workers):
+    # One busy thread per CPU: the calling thread ranks blocks beside the pool.
+    real_pool, real_tree = concurrent.futures.ThreadPoolExecutor, scipy.spatial.cKDTree
+    pools, rankers = [], set()
+
+    def pool(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers)
+
+    class Tree:
+        def __init__(self, data):
+            self._tree = real_tree(data)
+
+        def query(self, *args, **kwargs):
+            rankers.add(threading.get_ident())
+            return self._tree.query(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", Tree)
+    monkeypatch.setattr(knngraph, "_WORKERS", workers)
+    pts = np.random.default_rng(14).normal(size=(40_000, 3))  # 20+ blocks, no ties
+    _assert_rows_exact(build(Dataset(pts), 10), pts, np.arange(0, 40_000, 997))
+    assert pools == [workers - 1]
+    assert threading.get_ident() in rankers and 1 < len(rankers) <= workers
 
 
 def test_single_block_build_starts_no_thread(monkeypatch):

@@ -1,14 +1,19 @@
+import concurrent.futures
 import copy
 import dataclasses
 import hashlib
 import inspect
 import json
+import sys
+import threading
+from functools import cache
 
 import numpy as np
 import pytest
+import scipy.spatial
 from scipy.spatial.distance import cdist
 
-from osd import detectors
+from osd import detectors, knngraph
 from osd.blocks import divide, find_inflection, weight_histogram
 from osd.dataset import Dataset, Labels
 from osd.errors import ConfigError, DataError
@@ -250,6 +255,120 @@ def test_evaluate_grows_both_forests_in_one_detectors_call(monkeypatch):
     for side, ds_side in (("before", prepared), ("after", out)):
         auc, ap = evaluate_scores(real(ds_side, seed=3), labels)
         assert (result[f"auc_{side}"], result[f"ap_{side}"]) == (auc, ap)
+
+
+@cache
+def _probe_points():
+    ds, labels = gen_clusters_outliers(3, 1584, 248, 5, 30.0, 20)
+    config = RunConfig(k=10)
+    prepared = prepare(ds, config)
+    return prepared.points, run_osd(prepared, config)[0].points, labels
+
+
+def _probe():
+    """N=5000, d=5 before and after, above one k-NN block per worker at 2
+    workers; fresh Datasets, so no k-NN graph is kept on them yet."""
+    before, after, labels = _probe_points()
+    return Dataset(before), Dataset(after), labels
+
+
+def _forest_thread_spy(monkeypatch):
+    real, threads = detectors.iforest_scores, []
+
+    def spy(*datasets, **kwargs):
+        threads.append(threading.get_ident())
+        return real(*datasets, **kwargs)
+
+    monkeypatch.setattr(detectors, "iforest_scores", spy)
+    return threads
+
+
+def test_forest_beside_lof_and_knn_equals_serial_and_leaves_no_thread(monkeypatch):
+    # Frequent thread switches make a race between the two sides likelier to show.
+    config, threads = RunConfig(k=10, seed=5), _forest_thread_spy(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        reports = []
+        for workers in (2, 1):
+            monkeypatch.setattr(knngraph, "_WORKERS", workers)
+            before = threading.active_count()
+            reports.append(evaluate(*_probe(), config))
+            assert threading.active_count() == before
+    finally:
+        sys.setswitchinterval(interval)
+    pooled, serial = reports
+    assert threads[0] != threading.get_ident() and threads[1] == threading.get_ident()
+    assert pooled.detector_results == serial.detector_results
+    for report in reports:  # in config order, whichever thread finished first
+        assert list(report.detector_results) == list(report.timings) == list(config.detectors)
+
+
+def _raising(error):
+    def fail(*args, **kwargs):
+        raise error
+
+    return fail
+
+
+@pytest.mark.parametrize("names", [("lof", "iforest", "knn"), ("iforest", "lof"), ("lof", "iforest")])
+def test_errors_beside_the_forest_thread_raise_in_detector_order(monkeypatch, names):
+    forest_error, lof_error = DataError("forest"), DataError("lof")
+    monkeypatch.setattr(knngraph, "_WORKERS", 2)
+    monkeypatch.setattr(detectors, "iforest_scores", _raising(forest_error))
+    before = threading.active_count()
+    with pytest.raises(DataError) as failed:
+        evaluate(*_probe(), RunConfig(k=10, detectors=names))
+    assert failed.value is forest_error
+    assert threading.active_count() == before
+    # Both sides fail: the error of the detector named first is raised.
+    monkeypatch.setattr(detectors, "lof_scores", _raising(lof_error))
+    with pytest.raises(DataError) as failed:
+        evaluate(*_probe(), RunConfig(k=10, detectors=names))
+    assert failed.value is (forest_error if names[0] == "iforest" else lof_error)
+    assert threading.active_count() == before
+
+
+def test_forest_thread_keeps_knn_after_lofs_graph(monkeypatch):
+    # kNN at k=10 reads the prefix of LOF's k=20 lists: one kd-tree per side.
+    # Run before LOF (or beside it), kNN would build a k=10 graph of its own.
+    real, trees = scipy.spatial.cKDTree, []
+
+    def spy(data, *args, **kwargs):
+        trees.append(len(data))
+        return real(data, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", spy)
+    monkeypatch.setattr(knngraph, "_WORKERS", 2)
+    threads = _forest_thread_spy(monkeypatch)
+    evaluate(*_probe(), RunConfig(k=10))
+    assert threads[0] != threading.get_ident() and trees == [5000, 5000]
+
+
+def test_forest_thread_threshold_is_one_knn_block_per_worker(monkeypatch):
+    # A sweep-sized input grows its forest on the calling thread.
+    def refuse(*args, **kwargs):
+        raise AssertionError("thread pool started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(knngraph, "_WORKERS", 4)
+    ds, labels = gen_clusters_outliers(3, 158, 26, 3, 28.0, 0)
+    prepared = prepare(ds, RunConfig())
+    evaluate(prepared, run_osd(prepared, RunConfig())[0], labels, RunConfig())
+    # At 4 workers a block holds 1024 rows; a row more takes the forest aside.
+    threads = _forest_thread_spy(monkeypatch)
+    before, after, labels = _probe()
+
+    def evaluate_rows(n):
+        rows = np.random.default_rng(n).permutation(5000)[:n]
+        return evaluate(Dataset(before.points[rows]), Dataset(after.points[rows]),
+                        Labels(labels.flags[rows]), RunConfig(k=10, detectors=("iforest", "lof")))
+
+    evaluate_rows(1024)
+    assert threads == [threading.get_ident()]
+    with pytest.raises(AssertionError, match="pool started"):  # before LOF's build starts one
+        evaluate_rows(1025)
+    assert threads == [threading.get_ident()]
 
 
 def test_evaluate_requires_labels():
