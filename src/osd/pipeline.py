@@ -264,9 +264,9 @@ def _run_detector(
     name: str, before: Dataset, after: Dataset, config: RunConfig
 ) -> tuple[np.ndarray, ...]:
     """Both sides' scores: LOF with 20 neighbors, iForest's defaults, kNN at the transform's k."""
-    if name == "iforest":  # both forests grow in one pass
-        return detectors.iforest_scores(before, after, seed=config.seed)
     n = before.count
+    if name == "iforest":
+        return tuple(detectors.iforest_scores(ds, seed=config.seed) for ds in (before, after))
     if name == "lof":
         return tuple(detectors.lof_scores(ds, min(20, n - 1)) for ds in (before, after))
     return tuple(detectors.knn_dist_scores(ds, config.resolve_k(n)) for ds in (before, after))

@@ -1,9 +1,10 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here is written from the definitions with plain loops, except
-iforest_oracle, which stores each tree in flat arrays and walks the points
-through it afterwards where the library scores them while the tree grows.
-No code is shared with the implementations under test.
+iforest_oracle, which grows each tree by recursion into flat arrays and
+walks the points through it afterwards, where the library grows all trees
+level by level into one heap-ordered table.  No code is shared with the
+implementations under test.
 """
 
 from __future__ import annotations
@@ -164,11 +165,15 @@ def _average_path_length(n: int) -> float:
 
 
 class _TreeBuilder:
-    """Grows one isolation tree into flat arrays for vectorized traversal."""
+    """Grows one isolation tree into flat arrays for vectorized traversal.
 
-    def __init__(self, data: np.ndarray, rng: np.random.Generator, height_limit: int):
+    u[i] is the uniform pair of heap node i: the root is node 0 and node i's
+    children are 2i + 1 and 2i + 2.
+    """
+
+    def __init__(self, data: np.ndarray, u: np.ndarray, height_limit: int):
         self.data = data
-        self.rng = rng
+        self.u = u
         self.limit = height_limit
         self.feature: list[int] = []
         self.threshold: list[float] = []
@@ -176,7 +181,7 @@ class _TreeBuilder:
         self.right: list[int] = []
         self.leaf_path: list[float] = []
 
-    def grow(self, idx: np.ndarray, depth: int) -> int:
+    def grow(self, idx: np.ndarray, depth: int, heap: int) -> int:
         node = len(self.feature)
         self.feature.append(-1)
         self.threshold.append(0.0)
@@ -196,13 +201,19 @@ class _TreeBuilder:
             self.leaf_path[node] = depth + _average_path_length(size)
             return node
 
-        feat = int(self.rng.choice(splittable))
-        s = float(self.rng.uniform(lo[feat], hi[feat]))
+        u1, u2 = (float(v) for v in self.u[heap])
+        m = len(splittable)
+        feat = int(splittable[min(int(u1 * m), m - 1)])
+        low = float(lo[feat])
+        span = float(hi[feat]) - low  # Python floats overflow to inf without a warning
+        if math.isinf(span):
+            raise OverflowError("span beyond the float range")
+        s = low + span * u2
         mask = sub[:, feat] < s
         self.feature[node] = feat
         self.threshold[node] = s
-        self.left[node] = self.grow(idx[mask], depth + 1)
-        self.right[node] = self.grow(idx[~mask], depth + 1)
+        self.left[node] = self.grow(idx[mask], depth + 1, 2 * heap + 1)
+        self.right[node] = self.grow(idx[~mask], depth + 1, 2 * heap + 2)
         return node
 
     def arrays(self) -> tuple[np.ndarray, ...]:
@@ -240,8 +251,11 @@ def iforest_oracle(pts: np.ndarray, seed: int) -> np.ndarray:
     """Isolation forest of 100 stored trees over min(256, N) samples each.
 
     Each tree is grown into flat arrays first and every point is then
-    walked through it level by level; the trees draw from generators
-    spawned from one seed sequence, in order.
+    walked through it level by level.  Tree t's generator, the t-th spawned
+    from one seed sequence, draws its subsample and then one uniform pair
+    per heap node that may split.  A splitting node with m splittable
+    features splits on the min(floor(u1 * m), m - 1)-th of them at
+    lo + (hi - lo) * u2.  A node no sample reaches is a leaf at its depth.
     """
     n = len(pts)
     n_trees = 100
@@ -251,8 +265,9 @@ def iforest_oracle(pts: np.ndarray, seed: int) -> np.ndarray:
     for child in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(child)
         sample = rng.choice(n, size=subsample, replace=False)
-        builder = _TreeBuilder(pts, rng, height_limit)
-        builder.grow(sample, 0)
+        u = rng.random((2**height_limit - 1, 2))
+        builder = _TreeBuilder(pts, u, height_limit)
+        builder.grow(sample, 0, 0)
         paths += _tree_paths(builder.arrays(), pts)
     mean_path = paths / n_trees
     return 2.0 ** (-mean_path / _average_path_length(subsample))

@@ -8,14 +8,13 @@ from scipy.spatial.distance import pdist
 
 from osd.dataset import Dataset
 from osd.detectors import (
-    _Draws,
+    _grow_forest,
     _path_lengths,
-    _steps,
     iforest_scores,
     knn_dist_scores,
     lof_scores,
 )
-from osd.errors import ConfigError, DataError
+from osd.errors import ConfigError
 
 from oracles import _average_path_length, iforest_oracle, knn_oracle, lof_oracle
 
@@ -176,7 +175,7 @@ _IFOREST_CASES = {
     "all_equal": np.full((20, 2), 3.5),
     "rounded_duplicates": np.round(np.random.default_rng(9).uniform(size=(400, 2)), 1),
     "fewer_than_subsample": _SPREAD[:90],
-    # choice() leaves half a raw word pending above 256 points, not at 256
+    # at the subsample size every tree takes every row; one row more and it samples
     "exactly_subsample": _SPREAD[:256],
     "one_over_subsample": _SPREAD[:257],
     "more_than_subsample": _SPREAD,
@@ -184,20 +183,13 @@ _IFOREST_CASES = {
     "scaled_1e12": _SPREAD * 1e12,
     # a split value often lands exactly on a coordinate only a few ulps away
     "ulps_apart": 1.0 + np.random.default_rng(10).integers(4, size=(300, 2)) * 2.0**-52,
-    # trees that grow side by side finish after different numbers of nodes
+    # trees that grow side by side stop splitting at different levels
     "three_points": np.array([[0.0, 1.0], [2.0, 0.5], [2.5, 3.0]]),
-    # one feature: integers(1) draws nothing, and ties stop splits early
+    # one feature, so u1 picks nothing, and ties stop splits early
     "d1_duplicates": np.round(np.random.default_rng(11).uniform(size=(200, 1)), 1),
     # more points than the trees descend through at once
     "many_points": np.random.default_rng(12).normal(size=(5000, 2)),
 }
-
-
-@pytest.mark.parametrize("seed", [0, 31])
-@pytest.mark.parametrize("case", sorted(_IFOREST_CASES))
-def test_iforest_equals_tree_oracle_bitwise(case, seed):
-    pts = _IFOREST_CASES[case]
-    assert np.array_equal(iforest_scores(Dataset(pts), seed=seed), iforest_oracle(pts, seed))
 
 
 def _shifted(pts):
@@ -208,53 +200,11 @@ def _shifted(pts):
     return out
 
 
-def _assert_pair_equals_single_calls_and_oracle(pts, seed):
-    other = _shifted(pts)
-    pair = iforest_scores(Dataset(pts), Dataset(other), seed=seed)
-    assert isinstance(pair, tuple) and len(pair) == 2
-    for scores, points in zip(pair, (pts, other)):
-        assert np.array_equal(scores, iforest_scores(Dataset(points), seed=seed))
-        assert np.array_equal(scores, iforest_oracle(points, seed))
-
-
+@pytest.mark.parametrize("seed", [0, 31])
 @pytest.mark.parametrize("case", sorted(_IFOREST_CASES))
-def test_iforest_pair_equals_single_calls_and_oracle_bitwise(case):
-    _assert_pair_equals_single_calls_and_oracle(_IFOREST_CASES[case], 5)
-
-
-def test_iforest_scores_refuses_no_dataset_or_mixed_shapes():
-    a = Dataset(np.zeros((10, 2)))
-    with pytest.raises(DataError, match="one shape"):
-        iforest_scores(seed=0)
-    for other in (Dataset(np.zeros((11, 2))), Dataset(np.zeros((10, 3)))):
-        with pytest.raises(DataError, match="one shape"):
-            iforest_scores(a, other, seed=0)
-
-
-@pytest.mark.parametrize("pending", [False, True], ids=["no_pending_half", "pending_half"])
-def test_raw_word_draws_equal_generator_draws(pending):
-    # 2**31 + 1 rejects about half of its 32-bit draws, so some pairs draw again
-    ms = [1, *range(2, 60), 2**31 + 1, 2**32 - 1]
-    seeds = np.random.SeedSequence(77).spawn(len(ms))
-
-    def generators():
-        rngs = [np.random.default_rng(s) for s in seeds]
-        for rng in rngs:
-            if pending:
-                rng.integers(5)  # takes the low half of a word and keeps the high half
-            assert rng.bit_generator.state["has_uint32"] == pending
-        return rngs
-
-    pick = np.random.default_rng(78)
-    for groups in (1, 2):  # tree g * len(ms) + t makes generator t's draws
-        twins = [rng for _ in range(groups) for rng in generators()]
-        draws = _Draws(generators(), 3, groups)  # 3 words per block, so blocks are added often
-        for step in range(60):
-            trees = np.flatnonzero(pick.random(len(twins)) < 0.7)  # not all trees draw each step
-            m = np.array([ms[(t + t // len(ms) + step) % len(ms)] for t in trees])
-            j, u = draws.pairs(trees, m)
-            assert j.tolist() == [twins[t].integers(k) for t, k in zip(trees, m.tolist())]
-            assert u.tolist() == [twins[t].random() for t in trees]
+def test_iforest_equals_tree_oracle_bitwise(case, seed):
+    for pts in (_IFOREST_CASES[case], _shifted(_IFOREST_CASES[case])):
+        assert np.array_equal(iforest_scores(Dataset(pts), seed=seed), iforest_oracle(pts, seed))
 
 
 def test_iforest_range_beyond_float_raises_like_oracle():
@@ -266,10 +216,38 @@ def test_iforest_range_beyond_float_raises_like_oracle():
         iforest_oracle(pts, 0)
 
 
+def test_split_on_lo_leaves_an_empty_left_child_at_its_depth():
+    # With every u2 at 0 each split lands on lo, so all points go right and
+    # every left child is a heap node that no subsample point reaches.
+    pts = np.random.default_rng(14).normal(size=(8, 2))
+    order = np.stack([np.arange(8), np.arange(8)[::-1]])  # two trees
+    u = np.zeros((2, 7, 2))
+    u[..., 0] = 0.6
+    feature, cut, child = _grow_forest(pts, order, u, _path_lengths(8))
+    width = 15  # heap nodes per tree at height limit 3
+    assert len(cut) == 2 * width
+    for root in (0, width):
+        node, depth = root, 0
+        while depth < 3:  # the path of all eight points runs down the right edge
+            assert cut[node] == pts[:, feature[node]].min()
+            left = child[2 * node]
+            assert left == node + (node - root) + 1 and child[2 * node + 1] == left + 1
+            assert child[2 * left] == child[2 * left + 1] == left  # a leaf ...
+            assert cut[left] == depth + 1  # ... whose cut is its depth, c(0) = 0
+            node, depth = left + 1, depth + 1
+        assert cut[node] == 3 + _path_lengths(8)[8]
+        # A point below the root's lo stops in the root's empty left child.
+        below = pts.min(axis=0) - 1.0
+        at = root
+        for _ in range(3):
+            at = child[2 * at + (below[feature[at]] >= cut[at])]
+        assert at == root + 1 and cut[at] == 1.0
+
+
 @st.composite
 def _forest_rows(draw):
     d = draw(st.integers(1, 4))
-    if draw(st.booleans()):  # above the subsample size, so a half word is pending after choice()
+    if draw(st.booleans()):  # above the subsample size, so trees sample different rows
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         return rng.uniform(-3, 3, size=(draw(st.integers(257, 400)), d))
     n = draw(st.integers(2, 60))
@@ -284,33 +262,17 @@ def _forest_rows(draw):
 )
 def test_iforest_equals_tree_oracle_bitwise_property(rows, decimals, seed):
     pts = np.round(np.array(rows), decimals)
-    assert np.array_equal(iforest_scores(Dataset(pts), seed=seed), iforest_oracle(pts, seed))
-
-
-@settings(max_examples=20, deadline=None)
-@given(_forest_rows(), st.sampled_from([0, 1, 3]), st.integers(0, 2**32 - 1))
-def test_iforest_pair_equals_single_calls_and_oracle_property(rows, decimals, seed):
-    _assert_pair_equals_single_calls_and_oracle(np.round(np.array(rows), decimals), seed)
-
-
-def test_forest_steps_take_trees_in_chunks_beyond_a_hundred_subsamples():
-    # each of 250 trees holds a 2-point node on top of a 256-point node
-    stack = np.zeros((250, 2, 4), dtype=np.intp)
-    stack[:, 0, 2], stack[:, 1, 2] = 256, 2
-    steps = _steps(stack, np.full(250, 2), 100 * 256)
-    chunks = [(trees.size, nodes[2].sum()) for trees, nodes in steps]
-    assert chunks == [(250, 500), (100, 25600), (100, 25600), (50, 12800)]
+    for p in (pts, _shifted(pts)):
+        assert np.array_equal(iforest_scores(Dataset(p), seed=seed), iforest_oracle(p, seed))
 
 
 def test_iforest_memory_stays_small_at_large_n():
-    # a (trees, N) float64 block alone would take 49 MiB here; a pair's root
-    # step would gather 200 subsamples at once if it were not chunked
+    # a (trees, N) float64 block alone would take 49 MiB here
     ds = Dataset(np.random.default_rng(13).normal(size=(64_000, 5)))
-    for datasets in ([ds], [ds, ds]):
-        tracemalloc.start()
-        try:
-            iforest_scores(*datasets, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+    tracemalloc.start()
+    try:
+        iforest_scores(ds, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -236,7 +236,7 @@ def test_evaluate_perfect_separation_scores_one():
     assert report.detector_results["knn"]["auc_after"] == 1.0
 
 
-def test_evaluate_grows_both_forests_in_one_detectors_call(monkeypatch):
+def test_evaluate_scores_each_side_with_its_own_forest(monkeypatch):
     # the bench times the forest where evaluate looks it up: osd.detectors.iforest_scores
     ds, labels = ring_dataset(12)
     config = RunConfig(k=5, seed=3)
@@ -244,16 +244,16 @@ def test_evaluate_grows_both_forests_in_one_detectors_call(monkeypatch):
     out, _, _ = run_osd(prepared, config)
     real, calls = detectors.iforest_scores, []
 
-    def spy(*datasets, **kwargs):
-        calls.append((datasets, kwargs))
-        return real(*datasets, **kwargs)
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(detectors, "iforest_scores", spy)
     result = evaluate(prepared, out, labels, config).detector_results["iforest"]
-    [(datasets, kwargs)] = calls
-    assert datasets == (prepared, out) and kwargs == {"seed": 3}  # Datasets compare by identity
+    # one call per side; Datasets compare by identity
+    assert calls == [((prepared,), {"seed": 3}), ((out,), {"seed": 3})]
     for side, ds_side in (("before", prepared), ("after", out)):
-        auc, ap = evaluate_scores(real(ds_side, seed=3), labels)
+        auc, ap = evaluate_scores(real(ds_side, seed=config.seed), labels)
         assert (result[f"auc_{side}"], result[f"ap_{side}"]) == (auc, ap)
 
 
@@ -275,9 +275,9 @@ def _probe():
 def _forest_thread_spy(monkeypatch):
     real, threads = detectors.iforest_scores, []
 
-    def spy(*datasets, **kwargs):
+    def spy(*args, **kwargs):
         threads.append(threading.get_ident())
-        return real(*datasets, **kwargs)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(detectors, "iforest_scores", spy)
     return threads
@@ -298,7 +298,8 @@ def test_forest_beside_lof_and_knn_equals_serial_and_leaves_no_thread(monkeypatc
     finally:
         sys.setswitchinterval(interval)
     pooled, serial = reports
-    assert threads[0] != threading.get_ident() and threads[1] == threading.get_ident()
+    main = threading.get_ident()
+    assert threads[0] == threads[1] != main and threads[2:] == [main, main]  # one call per side
     assert pooled.detector_results == serial.detector_results
     for report in reports:  # in config order, whichever thread finished first
         assert list(report.detector_results) == list(report.timings) == list(config.detectors)
@@ -342,7 +343,7 @@ def test_forest_thread_keeps_knn_after_lofs_graph(monkeypatch):
     monkeypatch.setattr(knngraph, "_WORKERS", 2)
     threads = _forest_thread_spy(monkeypatch)
     evaluate(*_probe(), RunConfig(k=10))
-    assert threads[0] != threading.get_ident() and trees == [5000, 5000]
+    assert threads[0] == threads[1] != threading.get_ident() and trees == [5000, 5000]
 
 
 def test_forest_thread_threshold_is_one_knn_block_per_worker(monkeypatch):
@@ -365,10 +366,10 @@ def test_forest_thread_threshold_is_one_knn_block_per_worker(monkeypatch):
                         Labels(labels.flags[rows]), RunConfig(k=10, detectors=("iforest", "lof")))
 
     evaluate_rows(1024)
-    assert threads == [threading.get_ident()]
+    assert threads == [threading.get_ident()] * 2
     with pytest.raises(AssertionError, match="pool started"):  # before LOF's build starts one
         evaluate_rows(1025)
-    assert threads == [threading.get_ident()]
+    assert threads == [threading.get_ident()] * 2
 
 
 def test_evaluate_requires_labels():
