@@ -203,8 +203,26 @@ def _shifted(pts):
 @pytest.mark.parametrize("seed", [0, 31])
 @pytest.mark.parametrize("case", sorted(_IFOREST_CASES))
 def test_iforest_equals_tree_oracle_bitwise(case, seed):
-    for pts in (_IFOREST_CASES[case], _shifted(_IFOREST_CASES[case])):
-        assert np.array_equal(iforest_scores(Dataset(pts), seed=seed), iforest_oracle(pts, seed))
+    pts = _IFOREST_CASES[case]
+    assert np.array_equal(iforest_scores(Dataset(pts), seed=seed), iforest_oracle(pts, seed))
+
+
+@pytest.mark.parametrize("seed", [0, 31])
+@pytest.mark.parametrize("case", sorted(_IFOREST_CASES))
+def test_iforest_on_shifted_copy_equals_tree_oracle_bitwise(case, seed):
+    pts = _shifted(_IFOREST_CASES[case])
+    assert np.array_equal(iforest_scores(Dataset(pts), seed=seed), iforest_oracle(pts, seed))
+
+
+def test_iforest_scores_takes_one_dataset_and_a_keyword_seed():
+    a = Dataset(np.zeros((10, 2)))
+    with pytest.raises(TypeError):
+        iforest_scores(a, a)
+    with pytest.raises(TypeError):
+        iforest_scores(a, 0)
+    scores = iforest_scores(a)
+    assert isinstance(scores, np.ndarray) and scores.shape == (10,)
+    assert np.array_equal(scores, iforest_scores(a, seed=0))
 
 
 def test_iforest_range_beyond_float_raises_like_oracle():
@@ -262,8 +280,14 @@ def _forest_rows(draw):
 )
 def test_iforest_equals_tree_oracle_bitwise_property(rows, decimals, seed):
     pts = np.round(np.array(rows), decimals)
-    for p in (pts, _shifted(pts)):
-        assert np.array_equal(iforest_scores(Dataset(p), seed=seed), iforest_oracle(p, seed))
+    assert np.array_equal(iforest_scores(Dataset(pts), seed=seed), iforest_oracle(pts, seed))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_forest_rows(), st.sampled_from([0, 1, 3]), st.integers(0, 2**32 - 1))
+def test_iforest_on_shifted_copy_equals_tree_oracle_bitwise_property(rows, decimals, seed):
+    pts = _shifted(np.round(np.array(rows), decimals))
+    assert np.array_equal(iforest_scores(Dataset(pts), seed=seed), iforest_oracle(pts, seed))
 
 
 def test_iforest_memory_stays_small_at_large_n():
