@@ -11,10 +11,8 @@ provable fixed point, which would make the ablation meaningless).
 One run is recorded in one schema-versioned RunReport whose config is the
 RunConfig itself: run_osd fills the transform fields, evaluate adds the
 detector results (for a report made under its own config only), and both
-CLI commands write it as JSON.  RunReport.from_json rebuilds the config
-through RunConfig, so flags, library calls and report files pass the same
-checks.  Labels never enter the transform; they are only consumed by
-evaluate().
+CLI commands write it as JSON.  Labels never enter the transform; they are
+only consumed by evaluate().
 """
 
 from __future__ import annotations
@@ -111,27 +109,6 @@ class RunConfig:
         return self.k if self.k is not None else min(10, n - 1)
 
 
-def _is_real(value) -> bool:
-    return type(value) in (int, float) and value == value  # not a JSON bool, not NaN
-
-
-def _is_map(value, ok) -> bool:
-    return isinstance(value, dict) and all(map(ok, value.values()))
-
-
-# What json.loads must give for each report field besides config; None marks
-# a stage that did not run, and JSON object keys are always strings.
-_REPORT_FIELD_TYPES = {
-    **dict.fromkeys(("k", "n_edges", "knee_bin", "n_blocks", "n_invalid_pairs"),
-                    lambda v: v is None or type(v) is int),
-    **dict.fromkeys(("threshold", "g_const"), lambda v: v is None or _is_real(v)),
-    "block_masses": lambda v: type(v) is list and all(type(m) is int for m in v),
-    "warnings": lambda v: type(v) is list and all(type(w) is str for w in v),
-    "timings": lambda v: _is_map(v, _is_real),
-    "detector_results": lambda v: _is_map(v, lambda r: _is_map(r, _is_real)),
-}
-
-
 @dataclass(frozen=True)
 class RunReport:
     """The record of one run: transform diagnostics and detector results.
@@ -159,27 +136,6 @@ class RunReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        try:
-            raw = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # also huge integers, deep nesting
-            raise DataError(f"report is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise DataError("report must be a JSON object")
-        version = raw.get("schema_version")
-        if type(version) is not int or version != REPORT_SCHEMA_VERSION:  # 3.0 == 3 too
-            raise DataError(f"unsupported report schema: {version!r}")
-        if not isinstance(raw.get("config"), dict):
-            raise DataError("report config must be a JSON object")
-        for name, ok in _REPORT_FIELD_TYPES.items():
-            if name in raw and not ok(raw[name]):
-                raise DataError(f"malformed report: {name} has the wrong type")
-        try:  # the settings pass the same checks as flags and library calls
-            return cls(**{**raw, "config": RunConfig(**raw["config"])})
-        except (TypeError, ConfigError) as exc:  # a missing, unknown or refused field
-            raise DataError(f"malformed report: {exc}") from exc
 
 
 def prepare(ds: Dataset, config: RunConfig) -> Dataset:

@@ -1,12 +1,13 @@
 import argparse
 import json
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from osd.cli import _config_from, build_parser, main
-from osd.pipeline import RunConfig, RunReport
+from osd.dataset import load_csv
+from osd.pipeline import RunConfig, prepare, run_osd
 
 
 def _synth(tmp_path, name="data.csv", seed=0):
@@ -41,8 +42,12 @@ def test_transform_round_trip(tmp_path):
     rep = json.loads(report.read_text())
     assert rep["n_blocks"] >= 2
     assert len(out.read_text().splitlines()) == 85
-    first_block_row = blocks.read_text().splitlines()[1]
-    assert first_block_row.split(",") == ["0", "0"]
+    assert blocks.read_text().splitlines()[0] == "object_id,block_id"
+    rows = np.loadtxt(blocks, delimiter=",", skiprows=1, dtype=np.int64)
+    config = RunConfig(k=5, seed=0)
+    _, partition, _ = run_osd(prepare(load_csv(data, "label")[0], config), config)
+    np.testing.assert_array_equal(rows, np.column_stack(
+        [np.arange(partition.n_objects), partition.assignment]))
 
 
 def test_transform_threshold_override(tmp_path):
@@ -78,15 +83,14 @@ def test_transform_and_eval_write_one_report_schema(tmp_path):
     paths = {cmd: tmp_path / f"{cmd}.json" for cmd in ("transform", "eval")}
     for cmd, path in paths.items():
         assert main([cmd, *flags, "--out-report", str(path)]) == 0
-    texts = {cmd: path.read_text() for cmd, path in paths.items()}
-    reports = {cmd: RunReport.from_json(text) for cmd, text in texts.items()}
-    assert json.loads(texts["transform"]).keys() == json.loads(texts["eval"]).keys()
-    transform, evaluated = reports["transform"], reports["eval"]
-    assert transform.n_blocks >= 2 and transform.timings
-    assert transform.detector_results == {}
-    assert set(evaluated.detector_results) == {"lof", "iforest", "knn"}
+    transform, evaluated = (json.loads(path.read_text()) for path in paths.values())
+    assert transform.keys() == evaluated.keys()
+    assert transform["n_blocks"] >= 2 and transform["timings"]
+    assert transform["detector_results"] == {}
+    assert set(evaluated["detector_results"]) == {"lof", "iforest", "knn"}
     strip = {"timings": {}, "detector_results": {}}
-    assert replace(transform, **strip) == replace(evaluated, **strip)
+    assert {**transform, **strip} == {**evaluated, **strip}
+    assert RunConfig(**transform["config"]) == RunConfig(k=5, ablation="random-bomb", seed=3)
 
 
 NON_DEFAULT_RUN_FLAGS = {

@@ -22,7 +22,6 @@ from osd.knngraph import build
 from osd.metrics import evaluate_scores
 from osd.pipeline import (
     LAWS,
-    REPORT_SCHEMA_VERSION,
     RunConfig,
     RunReport,
     evaluate,
@@ -67,7 +66,8 @@ def test_config_rejects_bad_explosion_settings_at_construction():
                 {"threshold": "0.5"}, {"k": True}, {"seed": False}, {"T": True},
                 {"threshold": False}, {"normalize": "no"}, {"normalize": 1},
                 {"detectors": 5}, {"detectors": None}, {"seed": None}, {"T": None},
-                {"T": 10**400}, {"threshold": 10**400}, {"threshold": -(10**400)}):
+                {"T": 10**400}, {"threshold": 10**400}, {"threshold": -(10**400)},
+                {"k": 5.0}):
         with pytest.raises(ConfigError):
             RunConfig(**bad)
     for edge in (-np.inf, np.inf):  # keep every edge / prune every edge
@@ -418,14 +418,19 @@ def test_evaluate_copies_the_transform_report():
     assert dataclasses.replace(report, detector_results={}, timings=transform.timings) == transform
 
 
+def rebuilt(report):
+    """The report read back from its JSON, its settings checked by RunConfig."""
+    raw = json.loads(report.to_json())
+    return RunReport(**{**raw, "config": RunConfig(**raw["config"])})
+
+
 def test_report_json_round_trip():
     ds, labels = ring_dataset(8)
     config = RunConfig(k=5, detectors=("knn",), seed=1)
     prepared = prepare(ds, config)
     out, _, report = run_osd(prepared, config)
     report = evaluate(prepared, out, labels, config, report)
-    restored = RunReport.from_json(report.to_json())
-    assert restored == report
+    assert rebuilt(report) == report
     assert json.loads(report.to_json())["schema_version"] == 3
 
 
@@ -434,7 +439,7 @@ def test_report_json_round_trip_with_numpy_settings():
     config = RunConfig(k=np.int64(5), T=np.float32(0.5), threshold=np.float32(0.25),
                        seed=np.int64(1), normalize=np.bool_(True))
     _, _, report = run_osd(prepare(ds, config), config)
-    assert RunReport.from_json(report.to_json()) == report
+    assert rebuilt(report) == report
     assert [type(v) for v in (config.k, config.seed, config.T, config.threshold,
                               config.normalize)] == [int, int, float, float, bool]
 
@@ -444,8 +449,7 @@ def test_report_config_is_the_run_config_and_round_trips():
     config = RunConfig(k=5, threshold=-np.inf, ablation="random-bomb", detectors=("lof",))
     _, _, report = run_osd(prepare(ds, config), config)
     assert report.config is config
-    restored = RunReport.from_json(report.to_json())
-    assert type(restored.config) is RunConfig and restored.config == config
+    assert rebuilt(report) == report
     assert json.loads(report.to_json())["config"]["detectors"] == ["lof"]
 
 
@@ -457,61 +461,4 @@ def test_report_with_infinite_threshold_round_trips(threshold):
     out, _, report = run_osd(prepared, config)
     report = evaluate(prepared, out, labels, config, report)
     assert report.threshold == threshold
-    assert RunReport.from_json(report.to_json()) == report
-
-
-def test_report_rejects_unknown_schema():
-    with pytest.raises(DataError):
-        RunReport.from_json('{"schema_version": 99}')
-
-
-HEAD = f'{{"schema_version": {REPORT_SCHEMA_VERSION}'  # a report text at today's schema
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        HEAD + '}',
-        pytest.param('{"schema_version": 2, "config": {"sign_mode": "literal", '
-                     '"direction_mode": "corrected"}}', id="schema-2-mode-pair"),
-        HEAD + ', "config": {"sign_mode": "literal", "direction_mode": "corrected"}}',
-        HEAD + ', "config": {"law": "literal"}}',
-        HEAD + ', "config": {}, "unknown": 1}',
-        HEAD + ', "config": [1]}',
-        HEAD + ', "config": {"k": -5, "ablation": "bogus", "whatever": 1}}',
-        HEAD + ', "config": {"k": -5}}',
-        HEAD + ', "config": {"ablation": "bogus"}}',
-        HEAD + ', "config": {"whatever": 1}}',
-        HEAD + ', "config": {"k": 5.0}}',
-        "[1]",
-        "{not json",
-        pytest.param(HEAD + ', "config": {}, "k": ' + "9" * 5000 + "}",
-                     id="k-of-5000-digits"),
-        pytest.param("[" * 100_000, id="nested-100000-deep"),
-        HEAD + ', "config": {}, "k": "abc", "block_masses": 5, "timings": [1]}',
-        HEAD + ', "config": {}, "k": "abc"}',
-        HEAD + ', "config": {}, "k": 5.0}',
-        HEAD + ', "config": {}, "n_edges": true}',
-        HEAD + ', "config": {}, "knee_bin": [3]}',
-        HEAD + ', "config": {}, "n_blocks": "7"}',
-        HEAD + ', "config": {}, "n_invalid_pairs": false}',
-        HEAD + ', "config": {}, "threshold": "-Infinity"}',
-        HEAD + '.0, "config": {}}',
-        HEAD + ', "config": {}, "threshold": NaN}',
-        HEAD + ', "config": {}, "g_const": NaN}',
-        HEAD + ', "config": {}, "g_const": true}',
-        HEAD + ', "config": {}, "block_masses": 5}',
-        HEAD + ', "config": {}, "block_masses": [1, 2.5]}',
-        HEAD + ', "config": {}, "warnings": "one"}',
-        HEAD + ', "config": {}, "warnings": [1]}',
-        HEAD + ', "config": {}, "timings": [1]}',
-        HEAD + ', "config": {}, "timings": {"knngraph": "fast"}}',
-        HEAD + ', "config": {}, "detector_results": {"lof": 0.5}}',
-        HEAD + ', "config": {}, "detector_results": {"lof": {"auc_after": null}}}',
-        HEAD + ', "config": {}, "timings": {"knngraph": NaN}}',
-        HEAD + ', "config": {}, "detector_results": {"lof": {"auc_after": NaN}}}',
-    ],
-)
-def test_report_from_json_rejects_malformed_input(text):
-    with pytest.raises(DataError):
-        RunReport.from_json(text)
+    assert rebuilt(report) == report

@@ -23,8 +23,10 @@ def test_readme_quick_start_and_library_example_run(tmp_path, monkeypatch, capsy
         build_parser().parse_args(argv)
     monkeypatch.chdir(tmp_path)
     assert main(next(argv for argv in argvs if argv[0] == "synth")) == 0
-    exec(compile(_block("python", "Library use"), "README.md", "exec"), {})
+    namespace = {}
+    exec(compile(_block("python", "Library use"), "README.md", "exec"), namespace)
     assert '"schema_version": 3' in capsys.readouterr().out
+    assert namespace["rerun"] == namespace["config"]  # a report's settings, rebuilt
 
 
 def test_readme_flags_are_transform_or_eval_options():
