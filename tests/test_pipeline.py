@@ -462,3 +462,88 @@ def test_report_with_infinite_threshold_round_trips(threshold):
     report = evaluate(prepared, out, labels, config, report)
     assert report.threshold == threshold
     assert rebuilt(report) == report
+
+
+# What schema 3 writes for each report field, for readers outside osd: None
+# marks a stage that did not run, and JSON object keys are always strings.
+def _is_real(value):
+    return type(value) in (int, float) and value == value  # not a JSON bool, not NaN
+
+
+def _is_map(value, ok):
+    return type(value) is dict and all(map(ok, value.values()))
+
+
+SCHEMA_3_FIELD_TYPES = {
+    "schema_version": lambda v: type(v) is int and v == 3,
+    "config": lambda v: type(v) is dict and v.keys() == RunConfig.__dataclass_fields__.keys(),
+    **dict.fromkeys(("k", "n_edges", "knee_bin", "n_blocks", "n_invalid_pairs"),
+                    lambda v: v is None or type(v) is int),
+    **dict.fromkeys(("threshold", "g_const"), lambda v: v is None or _is_real(v)),
+    "block_masses": lambda v: type(v) is list and all(type(m) is int for m in v),
+    "warnings": lambda v: type(v) is list and all(type(w) is str for w in v),
+    "timings": lambda v: _is_map(v, _is_real),
+    "detector_results": lambda v: _is_map(v, lambda r: _is_map(r, _is_real)),
+}
+REPORT_KINDS = ("transform", "evaluated", "no-division", "evaluate-only")
+
+
+@cache
+def written_report(kind):
+    """The JSON text of one kind of report, and the report it was written from."""
+    ds, labels = ring_dataset(8)
+    config = RunConfig(k=5, ablation="no-division" if kind == "no-division" else "none")
+    prepared = prepare(ds, config)
+    out, _, report = run_osd(prepared, config)
+    if kind == "evaluated":
+        report = evaluate(prepared, out, labels, config, report)
+    elif kind == "evaluate-only":
+        report = evaluate(prepared, out, labels, config)
+    return report.to_json(), report
+
+
+@pytest.mark.parametrize("kind", REPORT_KINDS)
+def test_report_json_writes_every_schema_3_field(kind):
+    text, report = written_report(kind)
+    assert json.loads(text).keys() == SCHEMA_3_FIELD_TYPES.keys()
+    assert rebuilt(report) == report
+
+
+@pytest.mark.parametrize("kind", REPORT_KINDS)
+@pytest.mark.parametrize("name", SCHEMA_3_FIELD_TYPES)
+def test_report_json_writes_each_field_with_its_schema_3_type(name, kind):
+    text, report = written_report(kind)
+    value = json.loads(text)[name]
+    assert SCHEMA_3_FIELD_TYPES[name](value), f"{name} = {value!r}"
+    ran = {"transform": kind != "evaluate-only",
+           "division": kind in ("transform", "evaluated"), "detectors": "evaluate" in kind}
+    stage = {"threshold": "division", "knee_bin": "division",
+             "detector_results": "detectors"}.get(name, "transform")
+    if name not in ("schema_version", "config", "timings", "warnings"):
+        assert (value not in (None, [], {})) == ran[stage], f"{name} = {value!r}"
+
+
+@pytest.mark.parametrize(
+    ("edit", "error"),
+    [
+        ({"sign_mode": "literal", "direction_mode": "corrected"}, TypeError),  # schema 2
+        ({"law": "literal"}, ConfigError),
+        ({"whatever": 1}, TypeError),
+        ({"k": -5}, ConfigError),
+        ({"k": 5.0}, ConfigError),
+        ({"k": "5"}, ConfigError),
+        ({"threshold": "-Infinity"}, ConfigError),
+        ({"threshold": float("nan")}, ConfigError),
+        ({"ablation": "bogus"}, ConfigError),
+        ({"detectors": "lof"}, ConfigError),
+        ({"detectors": ["lof", "lof"]}, ConfigError),
+        ({"normalize": 1}, ConfigError),
+    ],
+    ids=lambda case: json.dumps(case) if isinstance(case, dict) else case.__name__,
+)
+def test_report_settings_are_checked_again_when_rerun(edit, error):
+    text, _ = written_report("evaluated")
+    raw = json.loads(text)
+    edited = json.dumps({**raw, "config": {**raw["config"], **edit}})
+    with pytest.raises(error):
+        RunConfig(**json.loads(edited)["config"])  # the README's rerun line
