@@ -27,6 +27,16 @@ __all__ = [
     "explode",
 ]
 
+# The force laws that explode and repulsion.repel read by name: the sign_mode
+# of displacement and the factor c of the repulsive force c*(p-g)/||p-g||^2.
+# Literal signs square each resultant component, so c's sign is moot there.
+LAWS = {
+    "corrected": ("corrected", -1.0),
+    "literal-sign": ("literal", -1.0),
+    "literal-direction": ("corrected", 1.0),
+}
+
+
 def _epsilon(ds: Dataset) -> float:
     """Singularity guard for the inverse-distance forces: 1e-12 of the diameter."""
     return 1e-12 * ds.diameter()
@@ -90,21 +100,20 @@ def explode(
     partition: BlockPartition,
     g_const: float,
     T: float = 1.0,
-    sign_mode: str = "corrected",
+    law: str = "corrected",
     theta: np.ndarray | None = None,
 ) -> tuple[Dataset, np.ndarray]:
     """Translate every block by its displacement.
 
     Returns the moved dataset and the (B, d) moved centroids.  g_const is
-    the force scale (run_osd passes constant_g, or 1 when that is 0); T
-    and sign_mode are the displacement law's duration and sign convention
-    (run_osd reads sign_mode from RunConfig.law through pipeline.LAWS);
-    theta overrides the bomb position (used by the random-bomb ablation).
+    the force scale (run_osd passes constant_g, or 1 when that is 0); T is
+    the duration, law names the row of LAWS whose sign convention applies,
+    and theta overrides the bomb position (used by the random-bomb ablation).
     Masses and within-block geometry are preserved exactly.
     """
     positions = centroids(ds, partition)
     if theta is None:
         theta = bomb_position(positions)
     f = shock_force(positions, theta, g_const, _epsilon(ds))
-    s = displacement(f, T, partition.masses[:, None], sign_mode)
+    s = displacement(f, T, partition.masses[:, None], LAWS[law][0])
     return Dataset(ds.points + s[partition.assignment]), positions + s

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 __all__ = ["KnnGraph", "build"]
 
@@ -147,6 +147,8 @@ def build(ds: Dataset, k: int) -> KnnGraph:
     def rank(rows: np.ndarray, kq: int) -> np.ndarray:
         """Write the lists of rows from kq candidates; return rows to widen."""
         cand = tree.query(pts[rows], k=kq)[1].reshape(len(rows), kq)
+        if cand.max() == m:  # the tree's "no neighbor": a squared distance overflowed
+            raise DataError("squared distances overflow float64; rescale the data")
         dp = _distances(pts[rows, None], distinct[cand])
         # A list uses <= k+1 copies of a point; absent copies sort as inf.
         nth = np.arange(min(k + 1, int(copies[cand].max())))

@@ -31,7 +31,7 @@ from . import detectors, knngraph
 from .blocks import BlockPartition, divide, find_inflection, weight_histogram
 from .dataset import Dataset, Labels, min_max_normalize
 from .errors import ConfigError, DataError
-from .explosion import constant_g, explode
+from .explosion import LAWS, constant_g, explode
 from .knngraph import build
 from .metrics import evaluate_scores
 from .repulsion import find_invalid_neighbors, repel
@@ -39,13 +39,6 @@ from .repulsion import find_invalid_neighbors, repel
 __all__ = ["RunConfig", "RunReport", "prepare", "run_osd", "evaluate"]
 
 ABLATIONS = ("none", "random-bomb", "no-repulsion", "no-division")
-# Each force law names the (sign_mode, direction_mode) pair of explode and repel;
-# literal signs square each resultant component, so the direction is moot there.
-LAWS = {
-    "corrected": ("corrected", "corrected"),
-    "literal-sign": ("literal", "corrected"),
-    "literal-direction": ("corrected", "literal"),
-}
 DETECTOR_NAMES = ("lof", "iforest", "knn")
 
 REPORT_SCHEMA_VERSION = 3
@@ -187,7 +180,7 @@ def run_osd(
     if config.ablation == "random-bomb":
         rng = np.random.default_rng(config.seed)
         theta = rng.uniform(ds.points.min(axis=0), ds.points.max(axis=0))
-    exploded, _ = explode(ds, partition, g_const, config.T, LAWS[config.law][0], theta)
+    exploded, _ = explode(ds, partition, g_const, config.T, config.law, theta)
     timings["explosion"] = clock() - t0
 
     t0 = clock()
@@ -197,7 +190,7 @@ def run_osd(
     else:
         invalid = find_invalid_neighbors(graph, exploded, partition)
         n_invalid_pairs = len(invalid)
-        result = repel(exploded, partition, invalid, *LAWS[config.law])
+        result = repel(exploded, partition, invalid, config.law)
     timings["repulsion"] = clock() - t0
 
     report = RunReport(

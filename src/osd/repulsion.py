@@ -14,11 +14,10 @@ import numpy as np
 
 from .blocks import BlockPartition
 from .dataset import Dataset
-from .errors import ConfigError
-from .explosion import _epsilon, _inverse_distance, displacement
+from .explosion import LAWS, _epsilon, _inverse_distance, displacement
 from .knngraph import KnnGraph, build
 
-__all__ = ["find_invalid_neighbors", "repulsive_force", "repel"]
+__all__ = ["find_invalid_neighbors", "repel"]
 
 
 def find_invalid_neighbors(
@@ -40,46 +39,26 @@ def find_invalid_neighbors(
     return np.column_stack([g_idx[order], p_idx[order]])
 
 
-def repulsive_force(
-    g_pos: np.ndarray,
-    p_pos: np.ndarray,
-    direction_mode: str = "corrected",
-    eps: float = 0.0,
-) -> np.ndarray:
-    """Inverse-distance force between objects and their invalid neighbors.
-
-    "literal" orients it from g toward p; "corrected" (default) negates
-    that, pushing g's block away from the intruder.  Magnitude is
-    1/distance either way; coincident positions give zero force.  Takes
-    one (d,) pair or (P, d) arrays of pairs.
-    """
-    if direction_mode not in ("corrected", "literal"):
-        raise ConfigError("direction_mode must be 'corrected' or 'literal'")
-    scale = 1.0 if direction_mode == "literal" else -1.0
-    return _inverse_distance(p_pos - g_pos, scale, eps)
-
-
 def repel(
     exploded_ds: Dataset,
     partition: BlockPartition,
     pairs: np.ndarray,
-    sign_mode: str = "corrected",
-    direction_mode: str = "corrected",
+    law: str = "corrected",
 ) -> Dataset:
     """Apply one repulsive translation per block; identity if pairs is empty.
 
-    Each block's resultant is the sum of the forces on its members, taken
-    in (g, p) order.  Translation is the squared resultant over squared
-    mass, with the same sign convention as the explosion displacement and
-    no T factor.  Blocks with a zero resultant do not move.  Under
-    sign_mode "literal" direction_mode has no effect: flipping every force
-    flips each resultant, whose components are then squared.  run_osd
-    reads both modes from pipeline.LAWS, whose "literal-sign" is that case.
+    law names the row (sign_mode, c) of explosion.LAWS.  Pair (g, p) pushes
+    g's block by c * (p - g) / ||p - g||^2 (zero within 1e-12 of the
+    diameter; c = -1 is away from p), and each block's resultant sums its
+    members' forces in (g, p) order.  The translation is the squared
+    resultant over squared mass, with the row's sign convention and no T
+    factor; a block with a zero resultant does not move.
     """
     pts = exploded_ds.points
     a = partition.assignment
     g_idx, p_idx = pairs[:, 0], pairs[:, 1]
-    f = repulsive_force(pts[g_idx], pts[p_idx], direction_mode, _epsilon(exploded_ds))
+    sign_mode, c = LAWS[law]
+    f = _inverse_distance(pts[p_idx] - pts[g_idx], c, _epsilon(exploded_ds))
     total = np.zeros((partition.n_blocks, exploded_ds.dim))
     np.add.at(total, a[g_idx], f)
     shift = displacement(total, 1.0, partition.masses[:, None], sign_mode)

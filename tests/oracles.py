@@ -119,6 +119,38 @@ def lof_oracle(pts: np.ndarray, k: int) -> np.ndarray:
     return scores
 
 
+def repel_oracle(
+    pts: np.ndarray, assignment: np.ndarray, pairs: np.ndarray, sign_mode: str, c: float
+) -> np.ndarray:
+    """Repulsion by one loop over the pairs in (g, p) order, then one per block.
+
+    Pair (g, p) adds c * (p - g) / ||p - g||^2 to g's block, nothing when
+    ||p - g|| <= 1e-12 of the bounding-box diagonal.  A block with a
+    nonzero resultant F moves by F*F / M^2 per component, signed like F
+    unless sign_mode is "literal".
+    """
+    span = pts.max(axis=0) - pts.min(axis=0)
+    eps = 1e-12 * math.sqrt(float(np.sum(span * span)))
+    n_blocks = int(assignment.max()) + 1
+    total = np.zeros((n_blocks, pts.shape[1]))
+    for g, p in pairs:
+        diff = pts[p] - pts[g]
+        r2 = float(np.sum(diff * diff))  # numpy's summation order, as the library's
+        if math.sqrt(r2) > eps:
+            for j in range(len(diff)):
+                total[assignment[g], j] += c * diff[j] / r2
+    moved = pts.copy()
+    for b in range(n_blocks):
+        if not total[b].any():
+            continue
+        mass = int(np.sum(assignment == b))
+        for j, f in enumerate(total[b]):
+            mag = f * f / (mass * mass)
+            shift = -mag if sign_mode == "corrected" and f < 0 else mag
+            moved[assignment == b, j] += shift
+    return moved
+
+
 def histogram_recount(weights: np.ndarray, bin_edges: np.ndarray) -> np.ndarray:
     """Interval counts by explicit scan: [a, b) bins, last bin closed."""
     counts = np.zeros(len(bin_edges) - 1, dtype=np.int64)

@@ -8,6 +8,7 @@ import pytest
 from osd.cli import _config_from, build_parser, main
 from osd.dataset import load_csv
 from osd.pipeline import RunConfig, prepare, run_osd
+from osd.synth import gen_clusters_outliers
 
 
 def _synth(tmp_path, name="data.csv", seed=0):
@@ -240,6 +241,17 @@ def test_fractional_label_column_is_data_error(tmp_path, capsys):
     assert main(["transform", "--input", str(data), "--label-col", "1.5"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "Traceback" not in err
+
+
+def test_overflowing_unnormalized_data_exits_three_without_traceback(tmp_path, capsys):
+    # squared distances near 1e400 overflow float64; normalizing would have rescued them
+    data, out = tmp_path / "huge.csv", tmp_path / "moved.csv"
+    points = gen_clusters_outliers(3, 300, 50, 3, 20.0, 0)[0].points
+    np.savetxt(data, points * 1e200, delimiter=",")
+    assert main(["transform", "--input", str(data), "--no-normalize", "--out-data", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra", [[], ["--imbalance-level", "4"]], ids=["clusters", "imbalance"])

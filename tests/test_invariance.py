@@ -17,6 +17,7 @@ from osd import explosion, repulsion
 from osd.blocks import divide, find_inflection, weight_histogram
 from osd.dataset import Dataset, min_max_normalize
 from osd.explosion import (
+    LAWS,
     _epsilon,
     bomb_position,
     centroids,
@@ -26,7 +27,7 @@ from osd.explosion import (
     shock_force,
 )
 from osd.knngraph import build
-from osd.pipeline import LAWS, RunConfig, prepare, run_osd
+from osd.pipeline import RunConfig, prepare, run_osd
 from osd.repulsion import find_invalid_neighbors, repel
 
 
@@ -128,12 +129,12 @@ def scaled_runs(draw):
     return min_max_normalize(Dataset(pts)), k, power, factor
 
 
-def _layers(ds, k, sign_mode):
+def _layers(ds, k, law):
     """The graph, partition, G and exploded points of a run on ds."""
     graph = build(ds, k)
     partition = divide(graph, find_inflection(*weight_histogram(graph.edge_weights, ds.count))[0])
     g_const = constant_g(graph)
-    exploded, _ = explode(ds, partition, g_const, 1.0, sign_mode)
+    exploded, _ = explode(ds, partition, g_const, 1.0, law)
     return graph, partition, g_const, exploded
 
 
@@ -173,24 +174,23 @@ def _assert_rows_close(got, want):
 @given(scaled_runs())
 def test_explosion_is_scale_free_under_each_law(law, case):
     ds, k, power, factor = case
-    sign_mode = LAWS[law][0]
-    _, partition, g_const, _ = _layers(ds, k, sign_mode)
+    _, partition, g_const, _ = _layers(ds, k, law)
     positions, eps = centroids(ds, partition), _epsilon(ds)
     theta = bomb_position(positions)
     force = shock_force(positions, theta, g_const, eps)
     scaled = shock_force(power * positions, power * theta, power * g_const, power * eps)
     assert scaled.tobytes() == force.tobytes()
     # explode finds the scaled centroids, bomb and guard distance itself
-    move = _displacement_in(explosion, lambda: explode(ds, partition, g_const, 1.0, sign_mode))
+    move = _displacement_in(explosion, lambda: explode(ds, partition, g_const, 1.0, law))
     scaled = _displacement_in(explosion, lambda: explode(
-        Dataset(power * ds.points), partition, power * g_const, 1.0, sign_mode))
+        Dataset(power * ds.points), partition, power * g_const, 1.0, law))
     assert scaled.tobytes() == move.tobytes()
 
     positions, theta = _on_grid(positions, theta)
     force = shock_force(positions, theta, g_const, eps)
     scaled = shock_force(factor * positions, factor * theta, factor * g_const, factor * eps)
     _assert_rows_close(scaled, force)
-    masses = partition.masses[:, None]
+    masses, sign_mode = partition.masses[:, None], LAWS[law][0]
     _assert_rows_close(displacement(scaled, 1.0, masses, sign_mode),
                        displacement(force, 1.0, masses, sign_mode))
 
@@ -200,14 +200,13 @@ def test_explosion_is_scale_free_under_each_law(law, case):
 @given(scaled_runs())
 def test_repulsion_scales_as_inverse_square_under_each_law(law, case):
     ds, k, power, factor = case
-    sign_mode, direction_mode = LAWS[law]
-    graph, partition, _, exploded = _layers(ds, k, sign_mode)
+    graph, partition, _, exploded = _layers(ds, k, law)
     # held fixed: the pairs themselves change with c, as the explosion's move does not scale
     pairs = find_invalid_neighbors(graph, exploded, partition)
 
     def move(points, c):
         return c * c * _displacement_in(repulsion, lambda: repel(
-            Dataset(c * points), partition, pairs, sign_mode, direction_mode))
+            Dataset(c * points), partition, pairs, law))
 
     assert move(exploded.points, power).tobytes() == move(exploded.points, 1.0).tobytes()
     (points,) = _on_grid(exploded.points)

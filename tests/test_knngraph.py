@@ -12,9 +12,10 @@ from osd import knngraph
 from osd.blocks import divide
 from osd.dataset import Dataset
 from osd.detectors import knn_dist_scores, lof_scores
-from osd.errors import ConfigError
+from osd.errors import ConfigError, DataError
 from osd.knngraph import KnnGraph, build
 from osd.repulsion import find_invalid_neighbors
+from osd.synth import gen_clusters_outliers
 
 from oracles import knn_oracle, knn_rows_oracle
 
@@ -131,6 +132,17 @@ def test_k_out_of_range():
         build(COLLINEAR, 4)
 
 
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_overflowing_squared_distances_are_a_data_error(monkeypatch, workers):
+    # The kd-tree leaves out candidates whose squared distance overflows to
+    # inf and returns its "no neighbor" index for them; on a pool thread too.
+    monkeypatch.setattr(knngraph, "_WORKERS", workers)
+    monkeypatch.setattr(knngraph, "_BLOCK_ROWS", 256)
+    pts = gen_clusters_outliers(3, 300, 50, 3, 20.0, 0)[0].points
+    assert build(Dataset(pts * 1e152), 10).neighbor_idx.max() < len(pts)
+    with pytest.raises(DataError, match="overflow"):
+        build(Dataset(pts * 1e153), 10)
 
 def _rounded_grid():
     # A coarse grid gives heavy distance ties and many duplicate points.

@@ -13,7 +13,7 @@ import pytest
 import scipy.spatial
 from scipy.spatial.distance import cdist
 
-from osd import detectors, knngraph
+from osd import cli, detectors, explosion, knngraph, pipeline, repulsion
 from osd.blocks import divide, find_inflection, weight_histogram
 from osd.dataset import Dataset, Labels
 from osd.errors import ConfigError, DataError
@@ -102,27 +102,28 @@ def test_default_run_of_twenty_objects_warns_and_prunes_nothing():
     np.testing.assert_array_equal(partition.assignment, expected.assignment)
 
 
-def test_direction_mode_has_no_effect_under_literal_signs():
+def test_direction_mode_has_no_effect_under_literal_signs(monkeypatch):
     # literal displacement squares each component of a block's resultant,
     # so negating every repulsive force moves no point differently; that is
     # why LAWS holds literal signs once.  Checked on repel with the invalid
-    # pairs of a real run.
+    # pairs of a real run, under a scratch row of literal signs and c = +1.
+    monkeypatch.setitem(explosion.LAWS, "scratch", ("literal", 1.0))
     ds = prepare(gen_clusters_outliers(2, 40, 4, 2, 25.0, 1)[0], RunConfig())
     graph = build(ds, 10)
     threshold, _ = find_inflection(*weight_histogram(graph.edge_weights, graph.n_objects))
     partition = divide(graph, threshold)
-    for signs, moot in (("literal", True), ("corrected", False)):
-        exploded, _ = explode(ds, partition, constant_g(graph), 1.0, signs)
-        pairs = find_invalid_neighbors(graph, exploded, partition)
-        assert len(pairs) > 0
-        literal, corrected = (repel(exploded, partition, pairs, signs, direction).points
-                              for direction in ("literal", "corrected"))
-        assert (literal.tobytes() == corrected.tobytes()) is moot
+    exploded, _ = explode(ds, partition, constant_g(graph))
+    pairs = find_invalid_neighbors(graph, exploded, partition)
+    assert len(pairs) > 0
+    moved = {law: repel(exploded, partition, pairs, law).points.tobytes()
+             for law in ("scratch", "literal-sign", "literal-direction", "corrected")}
+    assert moved["scratch"] == moved["literal-sign"]
+    assert moved["literal-direction"] != moved["corrected"]
 
 
 def test_each_law_moves_points_its_own_way():
-    # sha256 prefixes of the relocated points; each equals what the law's
-    # (sign_mode, direction_mode) pair gave when they were two settings
+    # sha256 prefixes of the relocated points; each equals what the law gave
+    # when its sign convention and force direction were two settings
     ds, _ = gen_clusters_outliers(2, 40, 4, 2, 25.0, 1)
     digests = {}
     for law in LAWS:
@@ -132,6 +133,12 @@ def test_each_law_moves_points_its_own_way():
         digests[law] = hashlib.sha256(out.points.tobytes()).hexdigest()[:12]
     assert digests == {"corrected": "6b5dab12cfc6", "literal-sign": "19641a65df90",
                        "literal-direction": "24df3ac1f455"}
+
+
+def test_laws_are_one_table():
+    # RunConfig and --law check names against the table that explode and repel read
+    assert pipeline.LAWS is cli.LAWS is explosion.LAWS
+    assert repulsion.__all__ == ["find_invalid_neighbors", "repel"]
 
 
 def test_single_block_dataset_is_fixed_point():

@@ -3,12 +3,11 @@ import pytest
 
 from osd.blocks import divide
 from osd.dataset import Dataset
-from osd.errors import ConfigError
-from osd.explosion import constant_g, displacement, explode
+from osd.explosion import LAWS, constant_g, displacement, explode
 from osd.knngraph import build
-from osd.repulsion import find_invalid_neighbors, repel, repulsive_force
+from osd.repulsion import find_invalid_neighbors, repel
 
-from oracles import blocks_of, knn_oracle
+from oracles import blocks_of, knn_oracle, repel_oracle
 
 # Catch-up scenario: a singleton block between two others, k = 2.
 # Before: objects 1-3 form one block, object 0 its own block, and 0's two
@@ -87,32 +86,32 @@ def test_invalid_neighbors_never_same_block():
         assert part.assignment[g_idx] != part.assignment[p_idx]
 
 
-def test_repulsive_force_directions():
-    g_pos = np.array([0.0, 0.0])
-    p_pos = np.array([2.0, 0.0])
-    np.testing.assert_allclose(
-        repulsive_force(g_pos, p_pos, "literal"), [0.5, 0.0], rtol=1e-15
-    )
-    np.testing.assert_allclose(
-        repulsive_force(g_pos, p_pos, "corrected"), [-0.5, 0.0], rtol=1e-15
-    )
+def _repel_cases():
+    """Seeded points at d = 1..8 in real blocks, random pairs and no pairs.
+
+    Rows 0 and 1 coincide, rows 2 and 3 lie within the singularity guard
+    (1e-12 of the diameter), and (0, 1) and (2, 3) are among the pairs.
+    """
+    rng = np.random.default_rng(5)
+    for d in range(1, 9):
+        pts = rng.standard_t(2, size=(60, d))
+        pts[1], pts[3] = pts[0], pts[2]
+        pts[3, 0] += 1e-13 * Dataset(pts).diameter()
+        ds = Dataset(pts)
+        graph = build(ds, 4)
+        part = divide(graph, np.quantile(graph.edge_weights, 0.3))
+        assert part.masses.max() > 1 and part.masses.min() == 1
+        pairs = np.vstack([[0, 1], [2, 3], rng.integers(0, 60, size=(80, 2))])
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        yield ds, part, pairs
+        yield ds, part, pairs[:0]
 
 
-def test_repulsive_force_refuses_unknown_direction_mode():
-    with pytest.raises(ConfigError, match="direction_mode"):
-        repulsive_force(np.zeros(2), np.ones(2), "bogus")
-
-
-def test_repulsive_force_inverse_distance_scaling():
-    g_pos = np.zeros(2)
-    near = repulsive_force(g_pos, np.array([1.0, 1.0]), "corrected")
-    far = repulsive_force(g_pos, np.array([2.0, 2.0]), "corrected")
-    assert np.linalg.norm(near) == pytest.approx(2 * np.linalg.norm(far))
-
-
-def test_repulsive_force_coincident_guard():
-    p = np.array([1.0, -1.0])
-    np.testing.assert_array_equal(repulsive_force(p, p.copy(), "corrected"), [0, 0])
+@pytest.mark.parametrize("law", list(LAWS))
+def test_repel_matches_oracle_under_each_law(law):
+    for ds, part, pairs in _repel_cases():
+        want = repel_oracle(ds.points, part.assignment, pairs, *LAWS[law])
+        assert repel(ds, part, pairs, law).points.tobytes() == want.tobytes()
 
 
 def test_resultant_force_empty_and_singleton():
@@ -122,7 +121,8 @@ def test_resultant_force_empty_and_singleton():
     out = repel(moved, part, inv)
     # the trio (block 1) has a zero resultant and stays put
     np.testing.assert_array_equal(out.points[1:], SCENARIO_MOVED[1:])
-    single_force = repulsive_force(SCENARIO_MOVED[0], SCENARIO_MOVED[3], "corrected")
+    diff = SCENARIO_MOVED[3] - SCENARIO_MOVED[0]
+    single_force = -diff / np.dot(diff, diff)  # pushes object 0 away from 3
     np.testing.assert_allclose(
         out.points[0],
         SCENARIO_MOVED[0] + displacement(single_force, 1.0, 1),
@@ -135,7 +135,7 @@ def test_resultant_force_sums_pairs():
     ds = Dataset(pts)
     part = divide(build(ds, 1), 1.0)  # all singletons
     inv = np.array([[0, 1], [0, 2], [0, 3]])
-    out = repel(ds, part, inv, direction_mode="literal")
+    out = repel(ds, part, inv, "literal-direction")
     expected = np.zeros(2)
     for p in (1, 2, 3):
         diff = pts[p] - pts[0]
@@ -161,10 +161,10 @@ def test_repel_applies_signed_squared_force():
     part = divide(build(ds, 1), -0.9)
     assert part.n_blocks == 2
     inv = np.array([[0, 2]])
-    # force on block {0, 1}: (g - p)/|g - p|^2 = (-0.1, 0) corrected,
-    # (0.1, 0) literal; translation = sign * force^2 / mass^2 with mass 2
-    for mode, expect in (("corrected", -0.0025), ("literal", 0.0025)):
-        out = repel(ds, part, inv, sign_mode=mode, direction_mode=mode)
+    # force on block {0, 1}: (g - p)/|g - p|^2 = (-0.1, 0); translation =
+    # sign * force^2 / mass^2 with mass 2, the sign dropped by literal signs
+    for law, expect in (("corrected", -0.0025), ("literal-sign", 0.0025)):
+        out = repel(ds, part, inv, law)
         np.testing.assert_allclose(out.points[0], [0.0 + expect, 0.0], atol=1e-15)
         np.testing.assert_allclose(out.points[1], [0.5 + expect, 0.0], atol=1e-15)
         np.testing.assert_array_equal(out.points[2:], pts[2:])
