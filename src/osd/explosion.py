@@ -37,16 +37,16 @@ LAWS = {
 }
 
 
+def _law(name: str) -> tuple[str, float]:
+    """The row of LAWS called name; ConfigError for any other value."""
+    if name not in tuple(LAWS):  # a tuple, so an unhashable value is refused too
+        raise ConfigError(f"law must be one of {tuple(LAWS)}")
+    return LAWS[name]
+
+
 def _epsilon(ds: Dataset) -> float:
     """Singularity guard for the inverse-distance forces: 1e-12 of the diameter."""
     return 1e-12 * ds.diameter()
-
-
-def _inverse_distance(diff: np.ndarray, scale: float, eps: float) -> np.ndarray:
-    """scale * diff / ||diff||^2 along the last axis; zero where ||diff|| <= eps."""
-    r2 = np.sum(diff * diff, axis=-1, keepdims=True)
-    dead = r2 <= eps * eps  # eps >= 0, so this covers r2 == 0
-    return np.where(dead, 0.0, scale * diff / np.where(dead, 1.0, r2))
 
 
 def centroids(ds: Dataset, partition: BlockPartition) -> np.ndarray:
@@ -72,9 +72,13 @@ def shock_force(
     """Inverse-distance force on each particle, directed away from the bomb.
 
     F = G * (B - theta) / ||B - theta||^2, zero within eps of the bomb.
-    positions is one (d,) particle or a (B, d) array of them.
+    positions is one (d,) particle or a (B, d) array of them, and theta is
+    one (d,) bomb for all of them or a (B, d) array, one bomb per particle.
     """
-    return _inverse_distance(positions - theta, g_const, eps)
+    diff = positions - theta
+    r2 = np.sum(diff * diff, axis=-1, keepdims=True)
+    dead = r2 <= eps * eps  # eps >= 0, so this covers r2 == 0
+    return np.where(dead, 0.0, g_const * diff / np.where(dead, 1.0, r2))
 
 
 def displacement(
@@ -115,5 +119,5 @@ def explode(
     if theta is None:
         theta = bomb_position(positions)
     f = shock_force(positions, theta, g_const, _epsilon(ds))
-    s = displacement(f, T, partition.masses[:, None], LAWS[law][0])
+    s = displacement(f, T, partition.masses[:, None], _law(law)[0])
     return Dataset(ds.points + s[partition.assignment]), positions + s

@@ -31,7 +31,7 @@ from . import detectors, knngraph
 from .blocks import BlockPartition, divide, find_inflection, weight_histogram
 from .dataset import Dataset, Labels, min_max_normalize
 from .errors import ConfigError, DataError
-from .explosion import LAWS, constant_g, explode
+from .explosion import LAWS, _law, constant_g, explode
 from .knngraph import build
 from .metrics import evaluate_scores
 from .repulsion import find_invalid_neighbors, repel
@@ -39,7 +39,15 @@ from .repulsion import find_invalid_neighbors, repel
 __all__ = ["RunConfig", "RunReport", "prepare", "run_osd", "evaluate"]
 
 ABLATIONS = ("none", "random-bomb", "no-repulsion", "no-division")
-DETECTOR_NAMES = ("lof", "iforest", "knn")
+# One side's scores per detector: LOF with 20 neighbors, iForest's defaults,
+# kNN at the transform's k.  Each row looks its detector up on the module at
+# call time, so a wrapper or spy set there sees the call.
+_SCORERS = {
+    "lof": lambda ds, config: detectors.lof_scores(ds, min(20, ds.count - 1)),
+    "iforest": lambda ds, config: detectors.iforest_scores(ds, seed=config.seed),
+    "knn": lambda ds, config: detectors.knn_dist_scores(ds, config.resolve_k(ds.count)),
+}
+DETECTOR_NAMES = tuple(_SCORERS)
 
 REPORT_SCHEMA_VERSION = 3
 
@@ -85,8 +93,7 @@ class RunConfig:
         if not isinstance(self.normalize, (bool, np.bool_)):
             raise ConfigError(f"normalize must be a bool, got {self.normalize!r}")
         object.__setattr__(self, "normalize", bool(self.normalize))
-        if self.law not in tuple(LAWS):  # a tuple, so an unhashable value is refused too
-            raise ConfigError(f"law must be one of {tuple(LAWS)}")
+        _law(self.law)
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"ablation must be one of {ABLATIONS}")
         if isinstance(self.detectors, str) or not isinstance(self.detectors, Iterable):
@@ -209,18 +216,6 @@ def run_osd(
     return result, partition, report
 
 
-def _run_detector(
-    name: str, before: Dataset, after: Dataset, config: RunConfig
-) -> tuple[np.ndarray, ...]:
-    """Both sides' scores: LOF with 20 neighbors, iForest's defaults, kNN at the transform's k."""
-    n = before.count
-    if name == "iforest":
-        return tuple(detectors.iforest_scores(ds, seed=config.seed) for ds in (before, after))
-    if name == "lof":
-        return tuple(detectors.lof_scores(ds, min(20, n - 1)) for ds in (before, after))
-    return tuple(detectors.knn_dist_scores(ds, config.resolve_k(n)) for ds in (before, after))
-
-
 def evaluate(
     before: Dataset,
     after: Dataset,
@@ -245,7 +240,7 @@ def evaluate(
 
     def score(name: str) -> tuple[float, dict[str, float]]:
         t0 = time.perf_counter()
-        scores_before, scores_after = _run_detector(name, before, after, config)
+        scores_before, scores_after = (_SCORERS[name](ds, config) for ds in (before, after))
         auc_before, ap_before = evaluate_scores(scores_before, labels)
         auc_after, ap_after = evaluate_scores(scores_after, labels)
         return time.perf_counter() - t0, {"auc_before": auc_before, "ap_before": ap_before,
@@ -275,24 +270,22 @@ def evaluate(
                    timings={**base.timings, **{name: outcomes[name][0] for name in names}})
 
 
-def write_points_csv(path: str | Path, ds: Dataset, labels: Labels | None = None) -> None:
-    """Dump points (and optionally a trailing label column) as headered CSV."""
-    cols = [f"x{i}" for i in range(ds.dim)]
-    data: np.ndarray = ds.points
-    if labels is not None:
-        cols.append("label")
-        data = np.column_stack([ds.points, labels.flags])
-    line = ",".join(["%.17g"] * data.shape[1]) + "\n"  # np.savetxt's bytes, a block at a time
+def _write_csv(path: str | Path, header: list[str], rows: np.ndarray, fmt: str) -> None:
+    """np.savetxt's bytes for rows under a one-line header, formatted a block at a time."""
+    line = ",".join([fmt] * rows.shape[1]) + "\n"
     with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for block in np.split(data, range(4096, len(data), 4096)):
+        fh.write(",".join(header) + "\n")
+        for block in np.split(rows, range(4096, len(rows), 4096)):
             fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
+def write_points_csv(path: str | Path, ds: Dataset, labels: Labels | None = None) -> None:
+    """Dump points (and optionally a trailing label column) as headered CSV."""
+    cols = [f"x{i}" for i in range(ds.dim)] + ([] if labels is None else ["label"])
+    data = ds.points if labels is None else np.column_stack([ds.points, labels.flags])
+    _write_csv(path, cols, data, "%.17g")
+
+
 def write_partition_csv(path: str | Path, partition: BlockPartition) -> None:
-    rows = np.column_stack(
-        [np.arange(partition.n_objects), partition.assignment]
-    )
-    np.savetxt(
-        path, rows, delimiter=",", header="object_id,block_id", comments="", fmt="%d"
-    )
+    rows = np.column_stack([np.arange(partition.n_objects), partition.assignment])
+    _write_csv(path, ["object_id", "block_id"], rows, "%d")

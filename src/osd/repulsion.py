@@ -14,7 +14,7 @@ import numpy as np
 
 from .blocks import BlockPartition
 from .dataset import Dataset
-from .explosion import LAWS, _epsilon, _inverse_distance, displacement
+from .explosion import _epsilon, _law, displacement, shock_force
 from .knngraph import KnnGraph, build
 
 __all__ = ["find_invalid_neighbors", "repel"]
@@ -48,21 +48,18 @@ def repel(
     """Apply one repulsive translation per block; identity if pairs is empty.
 
     law names the row (sign_mode, c) of explosion.LAWS.  Pair (g, p) pushes
-    g's block by c * (p - g) / ||p - g||^2 (zero within 1e-12 of the
-    diameter; c = -1 is away from p), and each block's resultant sums its
-    members' forces in (g, p) order.  The translation is the squared
-    resultant over squared mass, with the row's sign convention and no T
-    factor; a block with a zero resultant does not move.
+    g's block by the shock force on g with its intruder p as the bomb and
+    -c as the scale: c * (p - g) / ||p - g||^2, zero within 1e-12 of the
+    diameter, and away from p when c = -1.  Each block's resultant sums its
+    members' forces in (g, p) order and moves the block as the explosion
+    does, with the row's sign convention and T = 1; a zero resultant moves
+    a block by +0.0, which changes only the sign of a -0.0 coordinate.
     """
     pts = exploded_ds.points
     a = partition.assignment
     g_idx, p_idx = pairs[:, 0], pairs[:, 1]
-    sign_mode, c = LAWS[law]
-    f = _inverse_distance(pts[p_idx] - pts[g_idx], c, _epsilon(exploded_ds))
+    sign_mode, c = _law(law)
+    f = shock_force(pts[g_idx], pts[p_idx], -c, _epsilon(exploded_ds))
     total = np.zeros((partition.n_blocks, exploded_ds.dim))
     np.add.at(total, a[g_idx], f)
-    shift = displacement(total, 1.0, partition.masses[:, None], sign_mode)
-    rows = total.any(axis=1)[a]
-    new_pts = pts.copy()
-    new_pts[rows] += shift[a[rows]]
-    return Dataset(new_pts)
+    return Dataset(pts + displacement(total, 1.0, partition.masses[:, None], sign_mode)[a])

@@ -295,6 +295,22 @@ def test_points_csv_bytes_equal_savetxt(tmp_path, n):
         assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_partition_csv_bytes_equal_savetxt(tmp_path):
+    from osd.blocks import divide
+    from osd.knngraph import build
+    from osd.pipeline import write_partition_csv
+
+    ds = Dataset(np.random.default_rng(0).normal(size=(9000, 2)))
+    graph = build(ds, 3)
+    partition = divide(graph, np.quantile(graph.edge_weights, 0.5))
+    assert 1 < partition.n_blocks < partition.n_objects  # more than 4096 rows, mixed ids
+    rows = np.column_stack([np.arange(partition.n_objects), partition.assignment])
+    np.savetxt(tmp_path / "ref.csv", rows, fmt="%d", delimiter=",",
+               header="object_id,block_id", comments="")
+    write_partition_csv(tmp_path / "out.csv", partition)
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def _outcome(load, path, label):
     try:
         ds, labels = load(path, label)

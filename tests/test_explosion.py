@@ -167,6 +167,18 @@ def test_params_validation():
         displacement(np.ones(2), 1.0, 1, "bogus")
 
 
+@pytest.mark.parametrize("law", ["literal", "bogus", ["corrected"]])
+def test_layers_refuse_unknown_law(law):
+    # a sign_mode, a stray name and an unhashable value: each names the table's rows
+    from osd.repulsion import repel
+
+    partition = divide(build(COLLINEAR, 1), -np.inf)
+    with pytest.raises(ConfigError, match="corrected.*literal-sign.*literal-direction"):
+        explode(COLLINEAR, partition, 1.0, 1.0, law)
+    with pytest.raises(ConfigError, match="corrected.*literal-sign.*literal-direction"):
+        repel(COLLINEAR, partition, np.array([[0, 1]]), law)
+
+
 def test_displacement_translation_golden_block():
     # force (3, 2, 1) on a mass-3 block, T = 1
     pts = np.array([[1.0, 4, 2], [0, 3, 5], [-1, 7, 2]])

@@ -21,6 +21,7 @@ from osd.explosion import constant_g, explode
 from osd.knngraph import build
 from osd.metrics import evaluate_scores
 from osd.pipeline import (
+    DETECTOR_NAMES,
     LAWS,
     RunConfig,
     RunReport,
@@ -243,24 +244,31 @@ def test_evaluate_perfect_separation_scores_one():
     assert report.detector_results["knn"]["auc_after"] == 1.0
 
 
-def test_evaluate_scores_each_side_with_its_own_forest(monkeypatch):
-    # the bench times the forest where evaluate looks it up: osd.detectors.iforest_scores
-    ds, labels = ring_dataset(12)
+@pytest.mark.parametrize("name", DETECTOR_NAMES)
+def test_evaluate_calls_each_detector_once_per_side(monkeypatch, name):
+    # the bench times each detector where evaluate looks it up: osd.detectors.<attr>
+    ds, labels = ring_dataset(12)  # 12 points: 7 of the second cluster and the 5 outliers
+    ds, labels = Dataset(ds.points[93:]), Labels(labels.flags[93:])
     config = RunConfig(k=5, seed=3)
     prepared = prepare(ds, config)
     out, _, _ = run_osd(prepared, config)
-    real, calls = detectors.iforest_scores, []
+    attr, args, kwargs = {  # LOF's 20 neighbors clamp to N-1 = 11
+        "lof": ("lof_scores", (11,), {}),
+        "iforest": ("iforest_scores", (), {"seed": 3}),
+        "knn": ("knn_dist_scores", (config.resolve_k(12),), {}),
+    }[name]
+    real, calls = getattr(detectors, attr), []
 
-    def spy(*args, **kwargs):
-        calls.append((args, kwargs))
-        return real(*args, **kwargs)
+    def spy(*a, **kw):
+        calls.append((a, kw))
+        return real(*a, **kw)
 
-    monkeypatch.setattr(detectors, "iforest_scores", spy)
-    result = evaluate(prepared, out, labels, config).detector_results["iforest"]
+    monkeypatch.setattr(detectors, attr, spy)
+    result = evaluate(prepared, out, labels, config).detector_results[name]
     # one call per side; Datasets compare by identity
-    assert calls == [((prepared,), {"seed": 3}), ((out,), {"seed": 3})]
+    assert calls == [((prepared, *args), kwargs), ((out, *args), kwargs)]
     for side, ds_side in (("before", prepared), ("after", out)):
-        auc, ap = evaluate_scores(real(ds_side, seed=config.seed), labels)
+        auc, ap = evaluate_scores(real(ds_side, *args, **kwargs), labels)
         assert (result[f"auc_{side}"], result[f"ap_{side}"]) == (auc, ap)
 
 
