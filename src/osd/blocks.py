@@ -120,13 +120,11 @@ def divide(g: KnnGraph, threshold: float) -> BlockPartition:
     indices = g.neighbor_idx[keep]
     ones = np.ones(len(indices), dtype=np.int8)
     adjacency = csr_matrix((ones, indices, indptr), shape=(n, n))
-    n_blocks, labels = connected_components(adjacency, directed=False)
-    # Number blocks by first appearance, i.e. by smallest member index;
-    # scipy does not document its label order.
-    _, first = np.unique(labels, return_index=True)
-    relabel = np.empty(n_blocks, dtype=np.int64)
-    relabel[np.argsort(first)] = np.arange(n_blocks)
-    assignment = relabel[labels]
+    labels = connected_components(adjacency, directed=False)[1]
+    # Number blocks by smallest member index, first[label] (scipy does not
+    # document its label order).
+    first = np.unique(labels, return_index=True)[1]
+    assignment = np.unique(first[labels], return_inverse=True)[1]
     masses = np.bincount(assignment)
     assignment.setflags(write=False)
     masses.setflags(write=False)

@@ -51,9 +51,13 @@ class Dataset:
         return self.points.shape[1]
 
     def diameter(self) -> float:
-        """Length of the bounding-box diagonal (0 for coincident points)."""
+        """Length of the bounding-box diagonal (0 for coincident points).
+
+        Inf only past the float range, as for points at +-1e308.
+        """
         span = self.points.max(axis=0) - self.points.min(axis=0)
-        return float(np.sqrt(np.sum(span * span)))
+        e = np.frexp(span.max())[1]  # scaling by 2^-e is exact and keeps the squares finite
+        return float(np.ldexp(np.sqrt(np.sum(np.ldexp(span, -e) ** 2)), e))
 
 
 @dataclass(frozen=True, eq=False)

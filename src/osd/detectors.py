@@ -165,7 +165,7 @@ def iforest_scores(ds: Dataset, *, seed: int = 0) -> np.ndarray:
     c = _path_lengths(subsample)
     feature, cut, child = _grow_forest(ds.points, order, u, c)
     flat = ds.points.ravel()
-    paths = np.zeros(n)
+    paths = np.empty(n)
     roots = np.arange(0, len(feature), len(feature) // _N_TREES)[:, None]
     block = max(1, _BLOCK // _N_TREES)
     for first in range(0, n, block):
@@ -175,6 +175,5 @@ def iforest_scores(ds: Dataset, *, seed: int = 0) -> np.ndarray:
         for _ in range(height_limit):
             x = flat.take(row_starts + feature.take(at))
             at = child.take(2 * at + (x >= cut.take(at)))
-        for leaf in cut.take(at):  # one tree at a time, in tree order
-            paths[first:last] += leaf
+        paths[first:last] = cut.take(at).cumsum(axis=0)[-1]  # one tree at a time, in tree order
     return 2.0 ** (-(paths / _N_TREES) / c[subsample])

@@ -10,29 +10,21 @@ from .errors import DataError
 __all__ = ["roc_auc", "average_precision", "evaluate_scores"]
 
 
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with tied values sharing their average rank."""
-    order = np.argsort(scores, kind="mergesort")
-    s = scores[order]
-    first = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
-    last = np.append(first[1:], len(s)) - 1
-    ranks = np.empty(len(s))
-    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
-    return ranks
-
-
 def _checked(scores: np.ndarray, labels: Labels) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != labels.flags.shape:
         raise DataError(f"scores of shape {scores.shape} do not match {labels.count} labels")
+    if np.isnan(scores).any():
+        raise DataError(f"score {np.flatnonzero(np.isnan(scores))[0]} is NaN")
     return scores
 
 
 def roc_auc(scores: np.ndarray, labels: Labels) -> float:
     """Probability that a random outlier outscores a random normal.
 
-    Ties count half, i.e. the rank-sum (Mann-Whitney) statistic.  Needs at
-    least one object of each class.
+    Ties count half: the Mann-Whitney U / (n_out * n_norm), with U counted
+    from the sorted normals so the division has exact operands.  Needs at
+    least one object of each class; NaN scores are refused, +-inf accepted.
     """
     scores = _checked(scores, labels)
     flags = labels.flags
@@ -40,9 +32,10 @@ def roc_auc(scores: np.ndarray, labels: Labels) -> float:
     n_norm = len(flags) - n_out
     if n_out == 0 or n_norm == 0:
         raise DataError("AUC needs both an outlier and a normal label")
-    ranks = _average_ranks(scores)
-    rank_sum = ranks[flags == 1].sum()
-    return float((rank_sum - n_out * (n_out + 1) / 2.0) / (n_out * n_norm))
+    normals = np.sort(scores[flags == 0])
+    outliers = scores[flags == 1]
+    twice_u = np.searchsorted(normals, outliers) + np.searchsorted(normals, outliers, "right")
+    return float(twice_u.sum() / (2.0 * n_out * n_norm))
 
 
 def average_precision(scores: np.ndarray, labels: Labels) -> float:
@@ -57,7 +50,7 @@ def average_precision(scores: np.ndarray, labels: Labels) -> float:
     n_out = int(flags.sum())
     if n_out == 0:
         raise DataError("AP needs at least one outlier label")
-    order = np.lexsort((np.arange(len(scores)), -scores))
+    order = np.argsort(-scores, kind="stable")
     hits = flags[order] == 1
     cum_hits = np.cumsum(hits)
     precision_at = cum_hits / np.arange(1, len(scores) + 1)

@@ -244,6 +244,31 @@ def test_normalize_column_whose_span_overflows():
     np.testing.assert_array_equal(min_max_normalize(ds).points, [[0.0], [1.0], [0.5]])
 
 
+def test_diameter_whose_squares_pass_the_float_range():
+    t = np.linspace(0.0, 3e154, 400)  # the span squared is 9e308
+    assert Dataset(np.column_stack([t, 0.5 * t])).diameter() == pytest.approx(3e154 * 1.25**0.5)
+    with pytest.warns(RuntimeWarning, match="overflow"):  # the diagonal itself is 2e308
+        assert Dataset(np.array([[-1e308], [1e308]])).diameter() == np.inf
+
+
+# away from 0, a coordinate scaled by 2^-1000 stays normal
+MODERATE = st.floats(-1e6, 1e6).filter(lambda v: v == 0 or abs(v) >= 1e-3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.lists(MODERATE, min_size=d, max_size=d), min_size=2, max_size=12)
+    ),
+    st.integers(-1000, 1000),
+)
+def test_diameter_scales_exactly_by_powers_of_two(rows, e):
+    x = np.array(rows)
+    scaled = np.ldexp(x, e)
+    assert np.all((scaled == 0) | (np.abs(scaled) >= np.finfo(float).tiny))
+    assert Dataset(scaled).diameter() == np.ldexp(Dataset(x).diameter(), e)
+
+
 # every finite float, with the two largest magnitudes drawn often: a column
 # holding both has a span beyond the float range
 FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(

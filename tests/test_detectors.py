@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,14 @@ def test_lof_duplicates_stay_finite():
     pts = np.vstack([np.zeros((4, 2)), [[1.0, 0.0]]])
     scores = lof_scores(Dataset(pts), 2)
     assert np.all(np.isfinite(scores))
+
+
+def test_lof_finite_where_the_diagonal_squares_past_the_float_range():
+    t = np.linspace(0.0, 3e154, 400)  # a chain whose span squared is 9e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = lof_scores(Dataset(np.column_stack([t, 0.5 * t])))
+    assert np.isfinite(scores).all()
 
 
 def test_lof_parameter_validation():

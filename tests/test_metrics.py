@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from osd.dataset import Labels
 from osd.errors import DataError
-from osd.metrics import _average_ranks, average_precision, evaluate_scores, roc_auc
+from osd.metrics import average_precision, evaluate_scores, roc_auc
 
 from oracles import ap_oracle, auc_pairs_oracle, average_ranks_oracle
 
@@ -35,13 +35,40 @@ def test_auc_matches_pair_oracle_on_random_instances():
         )
 
 
-def test_average_ranks_equal_loop_oracle():
+def test_auc_equals_rank_sum_bitwise():
+    """The counted U gives the bits of the rank-sum formula over average ranks."""
     rng = np.random.default_rng(8)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0])
     for i in range(300):
-        n = int(rng.integers(0, 40))
-        ties = rng.integers(0, 5, size=n).astype(float)
-        scores = ties if i % 2 else rng.normal(size=n)
-        np.testing.assert_array_equal(_average_ranks(scores), average_ranks_oracle(scores))
+        n = int(rng.integers(2, 40))
+        scores = (rng.integers(0, 5, size=n).astype(float), rng.normal(size=n),
+                  rng.choice(specials, size=n))[i % 3]
+        flags = rng.permutation(np.r_[1, 0, rng.integers(0, 2, size=n - 2)])
+        n_out = int(flags.sum())
+        rank_sum = average_ranks_oracle(scores)[flags == 1].sum()
+        want = (rank_sum - n_out * (n_out + 1) / 2.0) / (n_out * (n - n_out))
+        assert roc_auc(scores, Labels(flags)) == want, (scores, flags)
+
+
+@pytest.mark.parametrize("scores, first_nan", [
+    (np.full(4, np.nan), 0),
+    (np.array([0.1, np.nan, 0.2, 0.3]), 1),
+])
+def test_nan_scores_refused(scores, first_nan):
+    labels = Labels(np.array([0, 0, 1, 1]))
+    for metric in (roc_auc, average_precision, evaluate_scores):
+        with pytest.raises(DataError, match=f"score {first_nan} is NaN"):
+            metric(scores, labels)
+
+
+def test_infinite_scores_agree_with_oracles():
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        scores = rng.choice([-np.inf, -1.0, -0.0, 0.0, 2.0, np.inf], size=20)
+        flags = rng.permutation(np.r_[1, 0, rng.integers(0, 2, size=18)])
+        auc, ap = evaluate_scores(scores, Labels(flags))
+        assert auc == auc_pairs_oracle(scores, flags)
+        assert ap == pytest.approx(ap_oracle(scores, flags), abs=1e-12)
 
 
 def test_auc_rejects_single_class():
