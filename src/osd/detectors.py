@@ -7,6 +7,7 @@ the exact k-NN machinery (and its tie rule) from knngraph.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -61,6 +62,19 @@ def _path_lengths(n: int) -> np.ndarray:
     m = np.arange(2, n + 1)
     c[2:] = 2.0 * np.cumsum(1.0 / (m - 1)) - 2.0 * (m - 1) / m
     return c
+
+
+@functools.lru_cache(maxsize=1)  # evaluate's before and after calls share one set
+def _draws(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (order, u, c) for _grow_forest: a pure function of (n, seed)."""
+    subsample = min(_SUBSAMPLE, n)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(_N_TREES)]
+    order = np.stack([rng.choice(n, size=subsample, replace=False) for rng in rngs])
+    u = np.stack([rng.random((2 ** math.ceil(math.log2(subsample)) - 1, 2)) for rng in rngs])
+    draws = order, u, _path_lengths(subsample)
+    for a in draws:
+        a.setflags(write=False)
+    return draws
 
 
 @np.errstate(over="ignore")  # only span can overflow, and it is checked
@@ -122,18 +136,16 @@ def _grow_forest(
         kids = parent + parent % width + 1
         child[2 * parent] = kids
         child[2 * parent + 1] = kids + 1
-        # The points of splitting nodes move on, left child before right.
-        # A node splits 2+ points, so keys stay below 100 * 256; int16 keys sort by radix.
+        # Points of splitting nodes move on: left children, then right ones, in node order.
         kept = np.flatnonzero(np.repeat(m > 0, size))
         moving = size[split]
         right = (sub.ravel().take(np.repeat(feat * rows.size, moving) + kept)
                  >= np.repeat(edge, moving))
         del sub  # a level's widest array
-        keys = np.repeat(np.arange(0, 2 * split.size, 2, dtype=np.int16), moving) + right
-        rows = rows[kept[np.argsort(keys, kind="stable")]]
+        rows = rows[kept[np.argsort(right, kind="stable")]]
         n_right = np.add.reduceat(right, np.cumsum(moving) - moving)
-        at = np.column_stack([kids, kids + 1]).ravel()
-        size = np.column_stack([moving - n_right, n_right]).ravel()
+        at = np.concatenate([kids, kids + 1])
+        size = np.concatenate([moving - n_right, n_right])
         at, size = at[size > 0], size[size > 0]  # an empty child keeps its depth as its cut
     return feature, cut, child
 
@@ -145,11 +157,11 @@ def iforest_scores(ds: Dataset, *, seed: int = 0) -> np.ndarray:
     subsample = min(256, N) points drawn without replacement.  Tree t's
     generator, spawned from SeedSequence(seed), draws choice(N, subsample,
     replace=False) and then random((2^h - 1, 2)): one uniform pair per heap
-    node that may split (see _grow_forest), so the scores are deterministic
-    for a fixed seed.  The draws pick rows by index, so the scores are not
-    permutation-equivariant: shuffling the rows changes which points each
-    tree samples.  Like Generator.uniform, a span beyond the float range
-    raises OverflowError.
+    node that may split (see _grow_forest).  The draws depend on (N, seed)
+    alone, so consecutive calls with the same pair share one cached set
+    (about 0.6 MB).  They pick rows by index, so the scores are not
+    permutation-equivariant.  Like Generator.uniform, a span beyond the
+    float range raises OverflowError.
 
     All points then descend together through one flat node table, over
     blocks of points that bound the memory.  Each point's path sum adds its
@@ -157,12 +169,7 @@ def iforest_scores(ds: Dataset, *, seed: int = 0) -> np.ndarray:
     does: a pairwise sum over the trees would round differently.
     """
     n, d = ds.points.shape
-    subsample = min(_SUBSAMPLE, n)
-    height_limit = math.ceil(math.log2(subsample))
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(_N_TREES)]
-    order = np.stack([rng.choice(n, size=subsample, replace=False) for rng in rngs])
-    u = np.stack([rng.random((2**height_limit - 1, 2)) for rng in rngs])
-    c = _path_lengths(subsample)
+    order, u, c = _draws(n, seed)
     feature, cut, child = _grow_forest(ds.points, order, u, c)
     flat = ds.points.ravel()
     paths = np.empty(n)
@@ -172,8 +179,8 @@ def iforest_scores(ds: Dataset, *, seed: int = 0) -> np.ndarray:
         last = min(first + block, n)
         row_starts = np.arange(first * d, last * d, d)
         at = np.repeat(roots, last - first, axis=1)  # (trees, points) block
-        for _ in range(height_limit):
+        for _ in range(u.shape[1].bit_length()):  # the height limit
             x = flat.take(row_starts + feature.take(at))
             at = child.take(2 * at + (x >= cut.take(at)))
         paths[first:last] = cut.take(at).cumsum(axis=0)[-1]  # one tree at a time, in tree order
-    return 2.0 ** (-(paths / _N_TREES) / c[subsample])
+    return 2.0 ** (-(paths / _N_TREES) / c[-1])

@@ -76,9 +76,12 @@ def shock_force(
     one (d,) bomb for all of them or a (B, d) array, one bomb per particle.
     """
     diff = positions - theta
+    e = np.frexp(np.abs(diff).max(axis=-1, keepdims=True))[1]  # 2^-e is exact; squares stay finite
+    diff = np.ldexp(diff, -e)
     r2 = np.sum(diff * diff, axis=-1, keepdims=True)
-    dead = r2 <= eps * eps  # eps >= 0, so this covers r2 == 0
-    return np.where(dead, 0.0, g_const * diff / np.where(dead, 1.0, r2))
+    with np.errstate(over="ignore"):  # a guard beyond the float range covers the row
+        dead = r2 <= np.ldexp(eps, -e) ** 2  # eps >= 0, so this covers r2 == 0
+    return np.ldexp(np.where(dead, 0.0, g_const * diff / np.where(dead, 1.0, r2)), -e)
 
 
 def displacement(

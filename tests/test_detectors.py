@@ -9,6 +9,7 @@ from scipy.spatial.distance import pdist
 
 from osd.dataset import Dataset
 from osd.detectors import (
+    _draws,
     _grow_forest,
     _path_lengths,
     iforest_scores,
@@ -309,3 +310,37 @@ def test_iforest_memory_stays_small_at_large_n():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_iforest_draws_are_shared_only_by_calls_of_one_n_and_seed():
+    _draws.cache_clear()
+    for n, seed in [(299, 4), (299, 4), (299, 5), (300, 4), (299, 4)]:
+        pts = _SPREAD[:n]
+        assert np.array_equal(iforest_scores(Dataset(pts), seed=seed), iforest_oracle(pts, seed))
+    info = _draws.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 4, 1)  # one set is kept
+    for drawn in _draws(299, 4):
+        with pytest.raises(ValueError, match="read-only"):
+            drawn[0] = 0
+
+
+def test_iforest_shared_draws_add_nothing_to_the_peak():
+    # The kept set must not raise a call's peak: a call on cached draws peaks
+    # no higher than one that draws them, and the set itself is about 0.6 MiB.
+    ds = Dataset(np.random.default_rng(15).normal(size=(500, 3)))
+    peaks = []
+    for primed in (False, True):
+        _draws.cache_clear()
+        if primed:
+            tracemalloc.start()
+            _draws(500, 0)
+            kept = tracemalloc.get_traced_memory()[0]
+            tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            iforest_scores(ds, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    cold, warm = peaks
+    assert warm <= cold and kept < 0.7 * 2**20

@@ -1,6 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from osd import explosion
 from osd.blocks import divide, find_inflection, weight_histogram
 from osd.dataset import Dataset
 from osd.errors import ConfigError
@@ -13,7 +18,7 @@ from osd.explosion import (
     shock_force,
 )
 from osd.knngraph import build
-from osd.pipeline import RunConfig
+from osd.pipeline import RunConfig, run_osd
 
 from oracles import blocks_of, knn_oracle
 
@@ -107,6 +112,58 @@ def test_shock_force_magnitude_and_direction():
         assert np.linalg.norm(f) == pytest.approx(g_const / r, rel=1e-12)
         cos = np.dot(f, pos - theta) / (np.linalg.norm(f) * r)
         assert cos == pytest.approx(1.0, abs=1e-12)
+
+
+def test_far_blocks_get_force_where_the_squares_pass_the_float_range(monkeypatch):
+    t = np.linspace(0.0, 3e154, 400)  # the ends sit 1.7e154 from the bomb
+    ds = Dataset(np.column_stack([t, 0.5 * t]))
+    real, forces = explosion.shock_force, []
+
+    def spy(*args):
+        forces.append(real(*args))
+        return forces[-1]
+
+    monkeypatch.setattr(explosion, "shock_force", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # every edge pruned: each point is a block of its own
+        run_osd(ds, RunConfig(normalize=False, threshold=np.inf))
+    (force,) = forces
+    far = np.hypot(*(ds.points - ds.points.mean(axis=0)).T) > 1.3e154
+    assert far.sum() > 50 and np.isfinite(force).all() and np.all(force[far] != 0)
+
+
+# away from 0, a coordinate scaled by 2^-1000 stays normal
+MODERATE = st.floats(-1e6, 1e6).filter(lambda v: v == 0 or abs(v) >= 1e-3)
+
+
+def _normal(*arrays):
+    """Whether every entry is 0 or a finite float no smaller than the smallest normal."""
+    v = np.abs(np.concatenate([np.ravel(a) for a in arrays]))
+    return bool(np.all((v == 0) | ((v >= np.finfo(float).tiny) & (v < np.inf))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda d: st.tuples(
+        st.lists(st.lists(MODERATE, min_size=d, max_size=d), min_size=1, max_size=12),
+        st.lists(MODERATE, min_size=d, max_size=d),
+    )),
+    st.booleans(),
+    st.floats(0.1, 10.0),
+    st.floats(0.0, 1.0),
+    st.integers(-1000, 1000),
+)
+def test_shock_force_scales_exactly_by_powers_of_two(case, on_first, g_const, eps, e):
+    positions, theta = map(np.array, case)
+    if on_first:  # a particle at the bomb gets no force
+        theta = positions[0]
+    force = shock_force(positions, theta, g_const, eps)
+    expected = np.ldexp(force, -e)
+    diff = positions - theta
+    assume(_normal(diff, np.ldexp(diff, e), np.ldexp(eps, e), force, expected))
+    scaled = shock_force(np.ldexp(positions, e), np.ldexp(theta, e), g_const, np.ldexp(eps, e))
+    assert scaled.tobytes() == expected.tobytes()
 
 
 def test_constant_g_on_collinear_points():

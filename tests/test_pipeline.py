@@ -272,6 +272,17 @@ def test_evaluate_calls_each_detector_once_per_side(monkeypatch, name):
         assert (result[f"auc_{side}"], result[f"ap_{side}"]) == (auc, ap)
 
 
+def test_evaluate_draws_the_forest_once_for_both_sides():
+    ds, labels = gen_clusters_outliers(3, 158, 26, 3, 28.0, 0)  # a sweep dataset
+    config = RunConfig(seed=7)
+    prepared = prepare(ds, config)
+    after = run_osd(prepared, config)[0]
+    detectors._draws.cache_clear()
+    evaluate(prepared, after, labels, config)
+    info = detectors._draws.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 @cache
 def _probe_points():
     ds, labels = gen_clusters_outliers(3, 1584, 248, 5, 30.0, 20)
