@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import functools
 import math
+from numbers import Integral
 
 import numpy as np
 
 from .dataset import Dataset
+from .errors import ConfigError
 from .knngraph import build
 
 __all__ = ["lof_scores", "iforest_scores", "knn_dist_scores"]
@@ -80,8 +82,8 @@ def _draws(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @np.errstate(over="ignore")  # only span can overflow, and it is checked
 def _grow_forest(
     pts: np.ndarray, order: np.ndarray, u: np.ndarray, c: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Grow every tree of the forest level by level into one flat node table.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grow every tree of the forest level by level into one flat heap.
 
     order[t] holds tree t's subsample rows and u[t, i] the uniform pair of its
     heap node i; c holds c(m) for m up to the subsample size.  Each tree has
@@ -90,29 +92,27 @@ def _grow_forest(
     depth below h whose subsample has m > 0 splittable features splits on
     splittable feature number min(floor(u1 * m), m - 1) at lo + span * u2.
 
-    Returns (feature, cut, child): node i sends point x on to child[2i] if
-    x[feature[i]] < cut[i], else to child[2i + 1].  A leaf is both its own
-    children, and its cut is its path length depth + c(leaf size); a node no
-    subsample point reaches is a leaf of size 0.
+    Returns (feature, cut): node i sends x to 2i + 2 if x[feature[i]] >=
+    cut[i], else to 2i + 1.  A node that does not split keeps cut +inf and so
+    passes every point left: a leaf's path length depth + c(leaf size) sits
+    at its leftmost bottom-level node.  An empty node is a leaf of size 0.
     """
     n_trees, subsample = order.shape
     height_limit = u.shape[1].bit_length()
     width = 2 * u.shape[1] + 1
-    depth = np.repeat(np.arange(height_limit + 1.0), 2 ** np.arange(height_limit + 1))
-    # Every node starts as a leaf of size 0; the levels overwrite those reached.
     feature = np.zeros(n_trees * width, dtype=np.intp)
-    cut = np.tile(depth, n_trees)
-    child = np.repeat(np.arange(n_trees * width), 2)
-    # The nodes of one level that subsample points reach, with their sizes.
-    # rows lists those points node by node, so each node owns one slice.
+    cut = np.full(n_trees * width, np.inf)
+    # One level's nodes and sizes; rows lists their points node by node, a slice each.
     at = np.arange(0, n_trees * width, width)
     size = np.full(n_trees, subsample)
     rows = order.ravel()
     cols = np.ascontiguousarray(pts.T)  # a column gather and its reduceat run along memory
     for level in range(height_limit + 1):
-        cut[at] = level + c[size]  # the node's path length if it is a leaf
+        # Its path length if a leaf, on its leftmost bottom node (a left child overwrites it)
+        cut[at + (at % width + 1) * (2 ** (height_limit - level) - 1)] = level + c[size]
         if level == height_limit:
             break
+        at, size = at[size > 0], size[size > 0]  # an empty child is a leaf
         sub = cols.take(rows, axis=1)
         starts = np.cumsum(size) - size
         lo = np.minimum.reduceat(sub, starts, axis=1)
@@ -133,9 +133,6 @@ def _grow_forest(
         edge = low + span * u2
         feature[parent] = feat
         cut[parent] = edge
-        kids = parent + parent % width + 1
-        child[2 * parent] = kids
-        child[2 * parent + 1] = kids + 1
         # Points of splitting nodes move on: left children, then right ones, in node order.
         kept = np.flatnonzero(np.repeat(m > 0, size))
         moving = size[split]
@@ -144,10 +141,10 @@ def _grow_forest(
         del sub  # a level's widest array
         rows = rows[kept[np.argsort(right, kind="stable")]]
         n_right = np.add.reduceat(right, np.cumsum(moving) - moving)
+        kids = parent + parent % width + 1
         at = np.concatenate([kids, kids + 1])
         size = np.concatenate([moving - n_right, n_right])
-        at, size = at[size > 0], size[size > 0]  # an empty child keeps its depth as its cut
-    return feature, cut, child
+    return feature, cut
 
 
 def iforest_scores(ds: Dataset, *, seed: int = 0) -> np.ndarray:
@@ -160,20 +157,24 @@ def iforest_scores(ds: Dataset, *, seed: int = 0) -> np.ndarray:
     node that may split (see _grow_forest).  The draws depend on (N, seed)
     alone, so consecutive calls with the same pair share one cached set
     (about 0.6 MB).  They pick rows by index, so the scores are not
-    permutation-equivariant.  Like Generator.uniform, a span beyond the
-    float range raises OverflowError.
+    permutation-equivariant.  A seed other than an integer >= 0 raises
+    ConfigError; like Generator.uniform, a span beyond the float range
+    raises OverflowError.
 
-    All points then descend together through one flat node table, over
-    blocks of points that bound the memory.  Each point's path sum adds its
-    leaf values one tree at a time in tree order, as a tree-by-tree build
-    does: a pairwise sum over the trees would round differently.
+    All points take all h steps together through one flat heap, in blocks
+    that bound the memory, to the bottom level where the leaf values sit.
+    Path sums add them one tree at a time in tree order, as a tree-by-tree
+    build does: a pairwise sum over the trees would round differently.
     """
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     n, d = ds.points.shape
-    order, u, c = _draws(n, seed)
-    feature, cut, child = _grow_forest(ds.points, order, u, c)
+    order, u, c = _draws(n, int(seed))
+    feature, cut = _grow_forest(ds.points, order, u, c)
     flat = ds.points.ravel()
     paths = np.empty(n)
     roots = np.arange(0, len(feature), len(feature) // _N_TREES)[:, None]
+    shift = 1 - roots  # 2 * at + shift is at's left child within its tree
     block = max(1, _BLOCK // _N_TREES)
     for first in range(0, n, block):
         last = min(first + block, n)
@@ -181,6 +182,6 @@ def iforest_scores(ds: Dataset, *, seed: int = 0) -> np.ndarray:
         at = np.repeat(roots, last - first, axis=1)  # (trees, points) block
         for _ in range(u.shape[1].bit_length()):  # the height limit
             x = flat.take(row_starts + feature.take(at))
-            at = child.take(2 * at + (x >= cut.take(at)))
+            at = 2 * at + shift + (x >= cut.take(at))
         paths[first:last] = cut.take(at).cumsum(axis=0)[-1]  # one tree at a time, in tree order
     return 2.0 ** (-(paths / _N_TREES) / c[-1])

@@ -29,6 +29,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -109,13 +110,13 @@ def _distances(point: np.ndarray, others: np.ndarray) -> np.ndarray:
 def build(ds: Dataset, k: int) -> KnnGraph:
     """Build the exact k-NN graph of a dataset.
 
-    Requires 1 <= k <= N-1.  Deterministic for a fixed input.  The graph
-    is kept on ds, so a later call on the same instance with this or a
-    smaller k is answered from it without a new query.
+    Requires an integer k with 1 <= k <= N-1.  Deterministic for a fixed
+    input.  The graph is kept on ds, so a later call on the same instance
+    with this or a smaller k is answered from it without a new query.
     """
     n = ds.count
-    if not 1 <= k <= n - 1:
-        raise ConfigError(f"k must be in [1, {n - 1}], got {k}")
+    if isinstance(k, bool) or not isinstance(k, Integral) or not 1 <= k <= n - 1:
+        raise ConfigError(f"k must be an integer in [1, {n - 1}], got {k!r}")
     kept = getattr(ds, "_knn", None)
     if kept is not None and k <= kept.k:
         if k == kept.k:

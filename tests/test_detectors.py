@@ -76,6 +76,15 @@ def test_lof_parameter_validation():
         lof_scores(ds, 4)
 
 
+@pytest.mark.parametrize("score", [lof_scores, knn_dist_scores])
+def test_neighbor_detectors_refuse_a_k_that_is_not_an_integer(score):
+    ds = Dataset(_grid(4))
+    for k in (2.5, 2.0, True, "3"):
+        with pytest.raises(ConfigError, match="k must be an integer"):
+            score(ds, k)
+    assert np.array_equal(score(ds, np.int64(3)), score(Dataset(_grid(4)), 3))
+
+
 @st.composite
 def _permuted(draw, decimals=st.none()):
     """(points, k, permutation); rounding to a few decimals makes ties."""
@@ -251,25 +260,39 @@ def test_split_on_lo_leaves_an_empty_left_child_at_its_depth():
     order = np.stack([np.arange(8), np.arange(8)[::-1]])  # two trees
     u = np.zeros((2, 7, 2))
     u[..., 0] = 0.6
-    feature, cut, child = _grow_forest(pts, order, u, _path_lengths(8))
-    width = 15  # heap nodes per tree at height limit 3
-    assert len(cut) == 2 * width
+    feature, cut = _grow_forest(pts, order, u, _path_lengths(8))
+    width = 15  # heap nodes per tree at height limit 3; nodes 7..14 are the bottom level
+    assert len(feature) == len(cut) == 2 * width
     for root in (0, width):
-        node, depth = root, 0
+        node, depth = 0, 0  # heap numbers within the tree
         while depth < 3:  # the path of all eight points runs down the right edge
-            assert cut[node] == pts[:, feature[node]].min()
-            left = child[2 * node]
-            assert left == node + (node - root) + 1 and child[2 * node + 1] == left + 1
-            assert child[2 * left] == child[2 * left + 1] == left  # a leaf ...
-            assert cut[left] == depth + 1  # ... whose cut is its depth, c(0) = 0
+            assert cut[root + node] == pts[:, feature[root + node]].min()
+            left = 2 * node + 1  # a leaf, whose path length sits at its leftmost bottom node ...
+            bottom = (left + 1) * 2 ** (2 - depth) - 1
+            assert cut[root + bottom] == depth + 1  # ... and is its depth, c(0) = 0
             node, depth = left + 1, depth + 1
-        assert cut[node] == 3 + _path_lengths(8)[8]
-        # A point below the root's lo stops in the root's empty left child.
+        assert cut[root + node] == 3 + _path_lengths(8)[8]
+        # Above the bottom level only nodes 0, 2 and 6 split; the others pass points left.
+        still = root + np.array([1, 3, 4, 5])
+        assert np.all(cut[still] == np.inf) and np.all(feature[still] == 0)
+        # A point below the root's lo goes left to the bottom under the root's empty left child.
         below = pts.min(axis=0) - 1.0
         at = root
         for _ in range(3):
-            at = child[2 * at + (below[feature[at]] >= cut[at])]
-        assert at == root + 1 and cut[at] == 1.0
+            at = 2 * at + 1 - root + (below[feature[at]] >= cut[at])
+        assert at == root + 7 and cut[at] == 1.0
+
+
+@pytest.mark.parametrize("seed", [None, -1, 1.5, "1", [1, 2], True])
+def test_iforest_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
+    # A cached draw for seed=None would make a call's scores depend on the calls before it.
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+        iforest_scores(Dataset(_SPREAD[:50]), seed=seed)
+
+
+def test_iforest_takes_a_numpy_integer_seed():
+    ds = Dataset(_SPREAD[:50])
+    assert np.array_equal(iforest_scores(ds, seed=np.int64(3)), iforest_scores(ds, seed=3))
 
 
 @st.composite
@@ -344,3 +367,4 @@ def test_iforest_shared_draws_add_nothing_to_the_peak():
             tracemalloc.stop()
     cold, warm = peaks
     assert warm <= cold and kept < 0.7 * 2**20
+    assert warm < 2.9 * 2**20  # the node table is two 8-byte columns of 100 x 511 nodes
