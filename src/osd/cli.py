@@ -144,8 +144,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for flag in ("out_report", "out_data", "dump_blocks", "out"):
             out = getattr(args, flag, None)
-            if out and not Path(out).parent.is_dir():  # fail before any work is done
-                raise ConfigError(f"no directory for --{flag.replace('_', '-')} {out}")
+            if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):  # before any work
+                raise ConfigError(f"cannot write --{flag.replace('_', '-')} {out}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -112,7 +112,7 @@ def _label_index(column: str | int | None, header: list[str] | None, width: int)
         index = np.inf
     if np.isinf(index):  # also a string beyond it, such as '1e400'
         raise DataError("label column index out of range")
-    if not index.is_integer():
+    if isinstance(column, (bool, np.bool_)) or not index.is_integer():
         raise DataError(f"label column index {column!r} is not an integer")
     if not 0 <= index < width:
         raise DataError(f"label column index {int(index)} out of range")

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import functools
 import math
-from numbers import Integral
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError
+from .errors import _integer
 from .knngraph import build
 
 __all__ = ["lof_scores", "iforest_scores", "knn_dist_scores"]
@@ -166,10 +165,8 @@ def iforest_scores(ds: Dataset, *, seed: int = 0) -> np.ndarray:
     Path sums add them one tree at a time in tree order, as a tree-by-tree
     build does: a pairwise sum over the trees would round differently.
     """
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     n, d = ds.points.shape
-    order, u, c = _draws(n, int(seed))
+    order, u, c = _draws(n, _integer("seed", seed, 0))
     feature, cut = _grow_forest(ds.points, order, u, c)
     flat = ds.points.ravel()
     paths = np.empty(n)

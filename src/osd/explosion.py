@@ -15,7 +15,7 @@ import numpy as np
 
 from .blocks import BlockPartition
 from .dataset import Dataset
-from .errors import ConfigError
+from .errors import _choice
 from .knngraph import KnnGraph
 
 __all__ = [
@@ -39,9 +39,7 @@ LAWS = {
 
 def _law(name: str) -> tuple[str, float]:
     """The row of LAWS called name; ConfigError for any other value."""
-    if name not in tuple(LAWS):  # a tuple, so an unhashable value is refused too
-        raise ConfigError(f"law must be one of {tuple(LAWS)}")
-    return LAWS[name]
+    return LAWS[_choice("law", name, LAWS)]
 
 
 def _epsilon(ds: Dataset) -> float:
@@ -95,11 +93,8 @@ def displacement(
     pass mass as a (B, 1) column.
     """
     mag = f * f * (T * T) / (mass * mass)
-    if sign_mode == "literal":
-        return mag
-    if sign_mode == "corrected":
-        return np.sign(f) * mag
-    raise ConfigError("sign_mode must be 'corrected' or 'literal'")
+    literal = _choice("sign_mode", sign_mode, ("corrected", "literal")) == "literal"
+    return mag if literal else np.sign(f) * mag
 
 
 def explode(

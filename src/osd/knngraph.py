@@ -29,12 +29,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError, DataError
+from .errors import DataError, _integer
 
 __all__ = ["KnnGraph", "build"]
 
@@ -115,8 +114,7 @@ def build(ds: Dataset, k: int) -> KnnGraph:
     with this or a smaller k is answered from it without a new query.
     """
     n = ds.count
-    if isinstance(k, bool) or not isinstance(k, Integral) or not 1 <= k <= n - 1:
-        raise ConfigError(f"k must be an integer in [1, {n - 1}], got {k!r}")
+    k = _integer("k", k, 1, n - 1)
     kept = getattr(ds, "_knn", None)
     if kept is not None and k <= kept.k:
         if k == kept.k:

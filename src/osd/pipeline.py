@@ -22,7 +22,6 @@ import math
 import time
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, replace
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ import numpy as np
 from . import detectors, knngraph
 from .blocks import BlockPartition, divide, find_inflection, weight_histogram
 from .dataset import Dataset, Labels, min_max_normalize
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _choice, _integer, _real
 from .explosion import LAWS, _law, constant_g, explode
 from .knngraph import build
 from .metrics import evaluate_scores
@@ -71,37 +70,24 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         # plain Python numbers, because numpy scalars would break to_json
-        for name, kind in (("k", Integral), ("seed", Integral), ("T", Real), ("threshold", Real)):
-            value = getattr(self, name)
-            if value is None and name in ("k", "threshold"):
-                continue
-            if isinstance(value, bool) or not isinstance(value, kind):
-                what = "an integer" if kind is Integral else "a real number"
-                raise ConfigError(f"{name} must be {what}, got {value!r}")
-            try:
-                object.__setattr__(self, name, int(value) if kind is Integral else float(value))
-            except OverflowError:
-                raise ConfigError(f"{name} is beyond the float range") from None
-        if self.k is not None and self.k < 1:
-            raise ConfigError(f"k must be an integer >= 1, got {self.k!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        object.__setattr__(self, "k", None if self.k is None else _integer("k", self.k, 1))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
+        object.__setattr__(self, "T", _real("T", self.T))
         if not (math.isfinite(self.T) and self.T > 0):
             raise ConfigError(f"T must be positive and finite, got {self.T}")
-        if self.threshold is not None and math.isnan(self.threshold):
-            raise ConfigError("threshold must not be NaN")
+        if self.threshold is not None:
+            object.__setattr__(self, "threshold", _real("threshold", self.threshold))
+            if math.isnan(self.threshold):
+                raise ConfigError("threshold must not be NaN")
         if not isinstance(self.normalize, (bool, np.bool_)):
             raise ConfigError(f"normalize must be a bool, got {self.normalize!r}")
         object.__setattr__(self, "normalize", bool(self.normalize))
         _law(self.law)
-        if self.ablation not in ABLATIONS:
-            raise ConfigError(f"ablation must be one of {ABLATIONS}")
+        _choice("ablation", self.ablation, ABLATIONS)
         if isinstance(self.detectors, str) or not isinstance(self.detectors, Iterable):
             raise ConfigError(f"detectors must be a tuple of names: {self.detectors!r}")
-        object.__setattr__(self, "detectors", tuple(self.detectors))  # argparse gives a list
-        for name in self.detectors:
-            if name not in DETECTOR_NAMES:
-                raise ConfigError(f"unknown detector {name!r}")
+        object.__setattr__(self, "detectors", tuple(  # argparse gives a list
+            _choice("detector", name, DETECTOR_NAMES) for name in self.detectors))
         if len(set(self.detectors)) != len(self.detectors):
             raise ConfigError(f"detectors must not repeat a name: {self.detectors!r}")
 

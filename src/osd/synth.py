@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .dataset import Dataset, Labels
-from .errors import ConfigError
+from .errors import ConfigError, _integer, _real
 
 __all__ = ["gen_clusters_outliers", "gen_imbalance_series"]
 
@@ -76,12 +76,14 @@ def gen_clusters_outliers(
     outliers last; labels mark outliers with 1.  Raises ConfigError on bad
     settings and when a rejection budget runs out.
     """
-    if n_clusters < 1 or pts_per_cluster < 1 or n_outliers < 0 or dim < 1:
-        raise ConfigError("counts and dim must be positive (outliers may be 0)")
+    n_clusters = _integer("n_clusters", n_clusters, 1)
+    pts_per_cluster = _integer("pts_per_cluster", pts_per_cluster, 1)
+    n_outliers = _integer("n_outliers", n_outliers, 0)
+    dim = _integer("dim", dim, 1)
+    separation = _real("separation", separation)
     if not (math.isfinite(separation) and separation > 0):
         raise ConfigError(f"separation must be positive and finite, got {separation}")
-    if seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    seed = _integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     centers = _place_centers(rng, n_clusters, dim, separation)
     clusters = [
@@ -105,17 +107,16 @@ def gen_imbalance_series(
     dataset reproducible independently of the others.  Raises ConfigError
     on bad settings and when the outliers' rejection budget runs out.
     """
-    if pts_per_cluster < 1 or dim < 1:
-        raise ConfigError("pts_per_cluster and dim must be positive")
-    for lv in levels:
-        if not (math.isfinite(lv) and lv >= 1):
-            raise ConfigError(f"imbalance level must be finite and >= 1, got {lv}")
-    if seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    pts_per_cluster = _integer("pts_per_cluster", pts_per_cluster, 1)
+    dim = _integer("dim", dim, 1)
+    levels = [_real("imbalance level", lv) for lv in levels]
+    if not all(math.isfinite(lv) and lv >= 1 for lv in levels):
+        raise ConfigError(f"imbalance levels must be finite and >= 1, got {levels}")
+    seed = _integer("seed", seed, 0)
     out: list[tuple[Dataset, Labels]] = []
     for lv, child in zip(levels, np.random.SeedSequence(seed).spawn(len(levels))):
         rng = np.random.default_rng(child)
-        spread = float(lv) ** (1.0 / dim)
+        spread = lv ** (1.0 / dim)
         sep = 20.0 * (1.0 + spread)
         centers = np.zeros((2, dim))
         centers[1, 0] = sep

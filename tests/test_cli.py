@@ -176,13 +176,14 @@ def test_repeated_detector_exits_two_before_reading_input(capsys):
 def test_output_in_missing_directory_exits_two_before_reading_input(
     tmp_path, capsys, command, flag
 ):
-    target = str(tmp_path / "no" / "such" / "out.file")
-    argv = [command, flag, target]
-    if command != "synth":
-        argv += ["--input", "/no/such.csv", "--label-col", "label"]
-    assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("config error:")
-    assert not (tmp_path / "no").exists()
+    # a path in no directory, and a path that is a directory itself
+    for target in (tmp_path / "no" / "such" / "out.file", tmp_path):
+        argv = [command, flag, str(target)]
+        if command != "synth":
+            argv += ["--input", "/no/such.csv", "--label-col", "label"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_synth_setting_exits_two(tmp_path):

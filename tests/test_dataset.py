@@ -53,7 +53,7 @@ def test_byte_order_mark_header_names_first_column(tmp_path):
 def test_fractional_label_index_rejected(tmp_path):
     f = tmp_path / "pts.csv"
     f.write_text("1,2,0\n3,4,1\n")
-    for bad in ("1.5", 1.5, "nan"):
+    for bad in ("1.5", 1.5, "nan", True, False, np.True_):
         with pytest.raises(DataError, match="not an integer"):
             load_csv(f, bad)
     _, labels = load_csv(f, "2")  # a numeric string selects by index

@@ -87,6 +87,38 @@ def test_parameter_validation():
         gen_clusters_outliers(2, 10, 1, 2, 10.0, -1)
     with pytest.raises(ConfigError, match="seed must be an integer >= 0, got -1"):
         gen_imbalance_series([2.0], -1)
+    # the same checks as RunConfig's: no bool, float or string passes for an integer
+    for seed in (None, [1, 2], 1.5, True):
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+            gen_clusters_outliers(2, 10, 2, 2, 28.0, seed)
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+            gen_imbalance_series([2.0], seed)
+    for count in (10.5, 2.0, True, "2"):
+        for at in range(4):  # n_clusters, pts_per_cluster, n_outliers, dim
+            args = [2, 10, 2, 2, 28.0, 0]
+            args[at] = count
+            with pytest.raises(ConfigError, match="must be an integer"):
+                gen_clusters_outliers(*args)
+        with pytest.raises(ConfigError, match="must be an integer"):
+            gen_imbalance_series([2.0], 0, dim=count)
+        with pytest.raises(ConfigError, match="must be an integer"):
+            gen_imbalance_series([2.0], 0, pts_per_cluster=count)
+    for real in ("28", True, 10**400):
+        with pytest.raises(ConfigError, match="separation"):
+            gen_clusters_outliers(2, 10, 2, 2, real, 0)
+        with pytest.raises(ConfigError, match="imbalance level"):
+            gen_imbalance_series([2.0, real], 0)
+
+
+def test_numpy_scalar_settings_give_the_same_bytes():
+    plain = gen_clusters_outliers(3, 20, 4, 3, 28.0, 7)
+    scalars = gen_clusters_outliers(np.int64(3), np.int64(20), np.int64(4), np.int64(3),
+                                    np.float64(28.0), np.int64(7))
+    assert _sha256([scalars]) == _sha256([plain])
+    plain = gen_imbalance_series([1.0, 3.0], 5, dim=3, pts_per_cluster=40)
+    scalars = gen_imbalance_series([np.float64(1.0), np.float64(3.0)], np.int64(5),
+                                   dim=np.int64(3), pts_per_cluster=np.int64(40))
+    assert _sha256(scalars) == _sha256(plain)
 
 
 def test_centers_that_cannot_be_placed_are_config_error(monkeypatch):
