@@ -91,10 +91,8 @@ def find_inflection(probs: np.ndarray, bin_edges: np.ndarray) -> tuple[float, in
 
     d2 = sm[2:] - 2.0 * sm[1:-1] + sm[:-2]
     last = min(int(np.argmax(sm)), len(probs) - 2)  # D(g) exists for g <= nbins-2
-    if last < 1:
-        knee = 1  # curve peaks at the first bin; fall back to minimal pruning
-    else:
-        knee = 1 + int(np.argmax(d2[:last]))  # first max wins: smallest g
+    # first max wins: smallest g; a peak at the first bin gives minimal pruning
+    knee = 1 + int(np.argmax(d2[:max(last, 1)]))
     return float(bin_edges[knee]), knee
 
 

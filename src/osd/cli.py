@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .dataset import load_csv
 from .errors import ConfigError, DataError
+from .metrics import _both_classes
 from .pipeline import (
     ABLATIONS,
     DETECTOR_NAMES,
@@ -67,8 +68,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from(args)
     ds, labels = load_csv(args.input, args.label_col)
     evaluating = args.command == "eval"
-    if evaluating and labels is None:
-        raise DataError("eval requires --label-col")
+    if evaluating:  # before the transform
+        if labels is None:
+            raise DataError("eval requires --label-col")
+        _both_classes(labels)
     prepared = prepare(ds, config)
     result, partition, report = run_osd(prepared, config)
     if evaluating:
@@ -80,10 +83,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.out_report:
         Path(args.out_report).write_text(report.to_json())
     if not evaluating:
-        print(
-            f"transformed {ds.count} objects: {report.n_blocks} blocks, "
-            f"threshold {report.threshold}, {report.n_invalid_pairs} invalid pairs"
-        )
+        pairs = report.n_invalid_pairs
+        repulsion = "repulsion skipped" if pairs is None else f"{pairs} invalid pairs"
+        print(f"transformed {ds.count} objects: {report.n_blocks} blocks, "
+              f"threshold {report.threshold}, {repulsion}")
     for name, res in report.detector_results.items():
         print(
             f"{name}: AUC {res['auc_before']:.4f} -> {res['auc_after']:.4f}, "
@@ -92,15 +95,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+_SHAPE = {"n_clusters": 2, "pts_per_cluster": 100, "n_outliers": 10, "separation": 20.0}
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
+    given = {name: getattr(args, name) for name in _SHAPE if getattr(args, name) is not None}
     if args.imbalance_level is not None:
-        pairs = gen_imbalance_series([args.imbalance_level], args.seed, dim=args.dim)
-        ds, labels = pairs[0]
+        if given.keys() - {"pts_per_cluster"}:  # the generator fixes the rest
+            raise ConfigError("--imbalance-level takes no --clusters, --outliers or --separation")
+        ds, labels = gen_imbalance_series([args.imbalance_level], args.seed, args.dim, **given)[0]
     else:
-        ds, labels = gen_clusters_outliers(
-            args.clusters, args.pts_per_cluster, args.outliers,
-            args.dim, args.separation, args.seed,
-        )
+        ds, labels = gen_clusters_outliers(**(_SHAPE | given), dim=args.dim, seed=args.seed)
     write_points_csv(args.out, ds, labels)
     print(f"wrote {ds.count} x {ds.dim} points to {args.out}")
     return 0
@@ -125,13 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("synth", help="generate a benchmark CSV")
-    p.add_argument("--clusters", type=int, default=2)
-    p.add_argument("--pts-per-cluster", type=int, default=100)
-    p.add_argument("--outliers", type=int, default=10)
+    for name, default in _SHAPE.items():  # gen_clusters_outliers's arguments; unset reads None
+        p.add_argument("--" + name.removeprefix("n_").replace("_", "-"), dest=name,
+                       type=type(default), help=f"default {default}")
     p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--separation", type=float, default=20.0)
     p.add_argument("--imbalance-level", type=float, default=None,
-                   help="generate a two-cluster density-imbalance dataset instead")
+                   help="two clusters of unequal density instead, 150 points each by default")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)

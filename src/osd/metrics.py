@@ -19,6 +19,14 @@ def _checked(scores: np.ndarray, labels: Labels) -> np.ndarray:
     return scores
 
 
+def _both_classes(labels: Labels) -> tuple[int, int]:
+    """(outlier count, normal count); DataError unless neither is 0."""
+    n_out = labels.n_outliers
+    if not 0 < n_out < labels.count:
+        raise DataError("AUC needs both an outlier and a normal label")
+    return n_out, labels.count - n_out
+
+
 def roc_auc(scores: np.ndarray, labels: Labels) -> float:
     """Probability that a random outlier outscores a random normal.
 
@@ -27,13 +35,9 @@ def roc_auc(scores: np.ndarray, labels: Labels) -> float:
     least one object of each class; NaN scores are refused, +-inf accepted.
     """
     scores = _checked(scores, labels)
-    flags = labels.flags
-    n_out = int(flags.sum())
-    n_norm = len(flags) - n_out
-    if n_out == 0 or n_norm == 0:
-        raise DataError("AUC needs both an outlier and a normal label")
-    normals = np.sort(scores[flags == 0])
-    outliers = scores[flags == 1]
+    n_out, n_norm = _both_classes(labels)
+    normals = np.sort(scores[labels.flags == 0])
+    outliers = scores[labels.flags == 1]
     twice_u = np.searchsorted(normals, outliers) + np.searchsorted(normals, outliers, "right")
     return float(twice_u.sum() / (2.0 * n_out * n_norm))
 

@@ -3,10 +3,10 @@
 The transform chain is: k-NN graph -> weight histogram -> knee threshold ->
 block division -> explosion -> invalid-neighbor detection -> repulsion.
 Ablations each disable exactly one ingredient: "random-bomb" places the
-bomb uniformly in the bounding box instead of at the particle centroid,
-"no-repulsion" stops after the explosion, and "no-division" treats every
-object as its own block of mass 1 (one block for everything would be a
-provable fixed point, which would make the ablation meaningless).
+bomb uniformly in the bounding box instead of at the particle centroid, and
+"no-repulsion" stops after the explosion.  threshold=+inf ablates division:
+it makes every object its own block of mass 1 (one block for everything would
+be a provable fixed point, which would make the ablation meaningless).
 
 One run is recorded in one schema-versioned RunReport whose config is the
 RunConfig itself: run_osd fills the transform fields, evaluate adds the
@@ -32,12 +32,12 @@ from .dataset import Dataset, Labels, min_max_normalize
 from .errors import ConfigError, DataError, _choice, _integer, _real
 from .explosion import LAWS, _law, constant_g, explode
 from .knngraph import build
-from .metrics import evaluate_scores
+from .metrics import _both_classes, evaluate_scores
 from .repulsion import find_invalid_neighbors, repel
 
 __all__ = ["RunConfig", "RunReport", "prepare", "run_osd", "evaluate"]
 
-ABLATIONS = ("none", "random-bomb", "no-repulsion", "no-division")
+ABLATIONS = ("none", "random-bomb", "no-repulsion")
 # One side's scores per detector: LOF with 20 neighbors, iForest's defaults,
 # kNN at the transform's k.  Each row looks its detector up on the module at
 # call time, so a wrapper or spy set there sees the call.
@@ -100,10 +100,10 @@ class RunReport:
     """The record of one run: transform diagnostics and detector results.
 
     A field left at its default (None, empty) means its stage did not run:
-    evaluate() on its own fills only config, detector_results and timings.
-    threshold and knee_bin are also None under the no-division ablation,
-    and knee_bin when config.threshold was set.  timings holds wall-clock
-    seconds per transform stage and per detector (each its own; they may overlap).
+    evaluate() on its own fills only config, detector_results and timings,
+    knee_bin is None when config.threshold was set or no knee was found,
+    and n_invalid_pairs under the no-repulsion ablation.  timings holds
+    wall-clock seconds per stage and per detector (each its own; they may overlap).
     """
 
     config: RunConfig
@@ -150,18 +150,13 @@ def run_osd(
     timings["knngraph"] = clock() - t0
 
     t0 = clock()
-    if config.ablation == "no-division":
-        partition = divide(graph, math.inf)  # prunes everything: all singletons
-        threshold = knee_bin = None
-    else:
-        if config.threshold is not None:
-            threshold, knee_bin = config.threshold, None
-        else:
-            threshold, knee_bin = find_inflection(
-                *weight_histogram(graph.edge_weights, graph.n_objects))
-            if knee_bin is None:
-                warnings.append("histogram too coarse for knee detection; nothing pruned")
-        partition = divide(graph, threshold)
+    threshold, knee_bin = config.threshold, None
+    if threshold is None:
+        threshold, knee_bin = find_inflection(
+            *weight_histogram(graph.edge_weights, graph.n_objects))
+        if knee_bin is None:
+            warnings.append("histogram too coarse for knee detection; nothing pruned")
+    partition = divide(graph, threshold)
     timings["division"] = clock() - t0
 
     t0 = clock()
@@ -177,10 +172,8 @@ def run_osd(
     timings["explosion"] = clock() - t0
 
     t0 = clock()
-    if config.ablation == "no-repulsion":
-        result = exploded
-        n_invalid_pairs = 0
-    else:
+    result, n_invalid_pairs = exploded, None
+    if config.ablation != "no-repulsion":
         invalid = find_invalid_neighbors(graph, exploded, partition)
         n_invalid_pairs = len(invalid)
         result = repel(exploded, partition, invalid, config.law)
@@ -223,6 +216,7 @@ def evaluate(
         raise DataError("evaluation requires labels")
     if labels.count != before.count or labels.count != after.count:
         raise DataError("labels do not match the dataset length")
+    _both_classes(labels)  # before any detector runs
 
     def score(name: str) -> tuple[float, dict[str, float]]:
         t0 = time.perf_counter()

@@ -65,6 +65,12 @@ def test_inflection_flat_curve_falls_back_to_first_interior_bin():
     assert threshold == bin_edges[1]
 
 
+def test_inflection_curve_peaking_at_first_bin_prunes_least():
+    # the scan ends before it starts, so the first interior bin is the knee
+    probs, bin_edges = _hist_from_probs([0.5, 0.4, 0.2, 0.15, 0.1])
+    assert find_inflection(probs, bin_edges) == (bin_edges[1], 1)
+
+
 def test_inflection_two_regime_curve():
     p, bin_edges = _hist_from_probs([0.001, 0.001, 0.002, 0.05, 0.2, 0.4])
     # independent recomputation of the smoothed second difference

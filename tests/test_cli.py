@@ -1,10 +1,15 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from osd import cli
 from osd.cli import _config_from, build_parser, main
 from osd.dataset import load_csv
 from osd.pipeline import RunConfig, prepare, run_osd
@@ -123,6 +128,36 @@ def test_run_flags_map_onto_run_config_by_name(command):
         argv += flags
         expected[name] = value
     assert _config_from(parser.parse_args(argv)) == RunConfig(**expected)
+
+
+def test_transform_without_repulsion_says_it_was_skipped(tmp_path, capsys):
+    data = _synth(tmp_path)
+    capsys.readouterr()
+    argv = ["transform", "--input", str(data), "--label-col", "label", "--k", "5"]
+    assert main([*argv, "--ablation", "no-repulsion"]) == 0
+    assert capsys.readouterr().out.endswith(", repulsion skipped\n")
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith(" invalid pairs\n")
+
+
+def test_no_division_ablation_exits_two_before_reading_input(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "--input", "/no/such.csv", "--ablation", "no-division"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'no-division'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [0, 1])
+def test_eval_refuses_one_class_labels_before_the_transform(tmp_path, monkeypatch, capsys, flag):
+    def spy(*args, **kwargs):
+        raise AssertionError("the transform ran")
+
+    monkeypatch.setattr(cli, "prepare", spy)
+    monkeypatch.setattr(cli, "run_osd", spy)
+    f = tmp_path / "one_class.csv"
+    f.write_text("x,y,label\n" + "".join(f"{i},{i * i},{flag}\n" for i in range(30)))
+    assert main(["eval", "--input", str(f), "--label-col", "label"]) == 3
+    assert "both an outlier and a normal" in capsys.readouterr().err
 
 
 def test_eval_requires_label_column(tmp_path):
@@ -273,3 +308,33 @@ def test_imbalance_synth(tmp_path):
     assert lines[0].split(",")[-1] == "label"
     labels = np.array([float(l.rsplit(",", 1)[1]) for l in lines[1:]])
     assert 0 < labels.sum() < len(labels)
+
+
+def test_imbalance_synth_takes_pts_per_cluster(tmp_path):
+    out = tmp_path / "imb.csv"
+    for extra, rows in (([], 315), (["--pts-per-cluster", "20"], 42)):  # 2 clusters + 5% outliers
+        assert main(["synth", "--imbalance-level", "4", *extra, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + rows
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--clusters", "5"), ("--outliers", "1"), ("--separation", "30"),
+])
+def test_imbalance_synth_refuses_cluster_shape_flags(tmp_path, capsys, flag, value):
+    out = tmp_path / "imb.csv"
+    assert main(["synth", "--imbalance-level", "4", flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--imbalance-level takes no" in err
+    assert not out.exists()
+
+
+def test_module_runs_as_a_script(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "osd.cli", *argv], env=env,
+                              capture_output=True, text=True).returncode
+
+    assert run("transform", "--input", str(tmp_path / "x.csv"), "--k", "0") == 2
+    assert run("synth", "--out", str(tmp_path / "data.csv")) == 0
+    assert (tmp_path / "data.csv").exists()

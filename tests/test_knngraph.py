@@ -1,6 +1,9 @@
 import concurrent.futures
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,3 +357,11 @@ def test_edges_are_derived_only_where_read(monkeypatch):
     knn_dist_scores(ds, 3)
     with pytest.raises(AssertionError, match="derived"):
         prefix.edges
+
+
+def test_workers_fall_back_to_cpu_count_without_affinity_masks():
+    # a platform without os.sched_getaffinity; a fresh process, so no reload leaks here
+    code = ("import os; del os.sched_getaffinity; from osd import knngraph; "
+            "assert knngraph._WORKERS == (os.cpu_count() or 1), knngraph._WORKERS")
+    env = {**os.environ, "PYTHONPATH": str(Path(knngraph.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -204,12 +204,11 @@ def test_degenerate_scale_warns_and_substitutes():
     np.testing.assert_array_equal(out.points, ds.points)  # eps guard holds
 
 
-def test_no_division_ablation_gives_singletons():
-    ds, _ = ring_dataset(2)
-    config = RunConfig(k=5, ablation="no-division")
-    _, partition, report = run_osd(prepare(ds, config), config)
-    assert partition.n_blocks == ds.count
-    assert report.threshold is None
+def test_no_division_is_not_an_ablation():
+    # threshold=+inf is the way to give every object its own block
+    with pytest.raises(ConfigError) as exc:
+        RunConfig(ablation="no-division")
+    assert "('none', 'random-bomb', 'no-repulsion')" in str(exc.value)
 
 
 def test_random_bomb_ablation_seeded():
@@ -404,6 +403,19 @@ def test_evaluate_requires_labels():
         evaluate(ds, ds, None, RunConfig(k=5))
 
 
+@pytest.mark.parametrize("flag", [0, 1])
+def test_evaluate_refuses_one_class_labels_before_any_detector(monkeypatch, flag):
+    def spy(*args, **kwargs):
+        raise AssertionError("a detector ran")
+
+    for attr in ("lof_scores", "iforest_scores", "knn_dist_scores"):
+        monkeypatch.setattr(detectors, attr, spy)
+    ds, _ = ring_dataset(7)
+    labels = Labels(np.full(ds.count, flag))
+    with pytest.raises(DataError, match="both an outlier and a normal"):
+        evaluate(ds, ds, labels, RunConfig(k=5))
+
+
 def test_evaluate_rejects_after_of_another_length():
     ds, labels = ring_dataset(7)
     shorter = Dataset(ds.points[:-1])
@@ -511,14 +523,16 @@ SCHEMA_3_FIELD_TYPES = {
     "timings": lambda v: _is_map(v, _is_real),
     "detector_results": lambda v: _is_map(v, lambda r: _is_map(r, _is_real)),
 }
-REPORT_KINDS = ("transform", "evaluated", "no-division", "evaluate-only")
+# "no-division" is threshold=+inf, the setting that ablates division; it seeks no knee.
+REPORT_KINDS = ("transform", "evaluated", "no-repulsion", "no-division", "evaluate-only")
 
 
 @cache
 def written_report(kind):
     """The JSON text of one kind of report, and the report it was written from."""
     ds, labels = ring_dataset(8)
-    config = RunConfig(k=5, ablation="no-division" if kind == "no-division" else "none")
+    config = RunConfig(k=5, ablation="no-repulsion" if kind == "no-repulsion" else "none",
+                       threshold=np.inf if kind == "no-division" else None)
     prepared = prepare(ds, config)
     out, _, report = run_osd(prepared, config)
     if kind == "evaluated":
@@ -541,9 +555,11 @@ def test_report_json_writes_each_field_with_its_schema_3_type(name, kind):
     text, report = written_report(kind)
     value = json.loads(text)[name]
     assert SCHEMA_3_FIELD_TYPES[name](value), f"{name} = {value!r}"
-    ran = {"transform": kind != "evaluate-only",
-           "division": kind in ("transform", "evaluated"), "detectors": "evaluate" in kind}
-    stage = {"threshold": "division", "knee_bin": "division",
+    ran = {"transform": kind != "evaluate-only",  # division, with a threshold, among them
+           "knee": kind in ("transform", "evaluated", "no-repulsion"),
+           "repulsion": kind in ("transform", "evaluated", "no-division"),
+           "detectors": "evaluate" in kind}
+    stage = {"knee_bin": "knee", "n_invalid_pairs": "repulsion",
              "detector_results": "detectors"}.get(name, "transform")
     if name not in ("schema_version", "config", "timings", "warnings"):
         assert (value not in (None, [], {})) == ran[stage], f"{name} = {value!r}"
