@@ -55,9 +55,14 @@ class Dataset:
 
         Inf only past the float range, as for points at +-1e308.
         """
-        span = self.points.max(axis=0) - self.points.min(axis=0)
-        e = np.frexp(span.max())[1]  # scaling by 2^-e is exact and keeps the squares finite
-        return float(np.ldexp(np.sqrt(np.sum(np.ldexp(span, -e) ** 2)), e))
+        span, e = _unit_scale(self.points.max(axis=0) - self.points.min(axis=0))
+        return float(np.ldexp(np.sqrt(np.sum(span * span)), e))
+
+
+def _unit_scale(x: np.ndarray, axis: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """x * 2^-e and e, which puts the largest |x| along axis (kept) in [0.5, 1); exact if normal."""
+    e = np.frexp(np.abs(x).max(axis=axis, keepdims=axis is not None))[1]
+    return np.ldexp(x, -e), e
 
 
 @dataclass(frozen=True, eq=False)

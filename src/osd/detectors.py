@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _unit_scale
 from .errors import _integer
 from .knngraph import build
 
@@ -35,9 +35,9 @@ def lof_scores(ds: Dataset, n_neighbors: int = 20) -> np.ndarray:
     kdist = dist[:, -1]
 
     reach = np.maximum(kdist[idx], dist)
-    mean_reach = reach.mean(axis=1)
-    floor = 1e-12 * (ds.diameter() or 1.0)
-    mean_reach = np.maximum(mean_reach, floor)
+    # LOF is scale-free; at this scale the floor cannot round as a subnormal
+    mean_reach, e = _unit_scale(reach.mean(axis=1))
+    mean_reach = np.maximum(mean_reach, 1e-12 * np.ldexp(ds.diameter() or 1.0, -e))
     # lrd(b)/lrd(a) == mean_reach(a)/mean_reach(b)
     return (mean_reach[:, None] / mean_reach[idx]).mean(axis=1)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .blocks import BlockPartition
-from .dataset import Dataset
+from .dataset import Dataset, _unit_scale
 from .errors import _choice
 from .knngraph import KnnGraph
 
@@ -73,9 +73,7 @@ def shock_force(
     positions is one (d,) particle or a (B, d) array of them, and theta is
     one (d,) bomb for all of them or a (B, d) array, one bomb per particle.
     """
-    diff = positions - theta
-    e = np.frexp(np.abs(diff).max(axis=-1, keepdims=True))[1]  # 2^-e is exact; squares stay finite
-    diff = np.ldexp(diff, -e)
+    diff, e = _unit_scale(positions - theta, axis=-1)
     r2 = np.sum(diff * diff, axis=-1, keepdims=True)
     with np.errstate(over="ignore"):  # a guard beyond the float range covers the row
         dead = r2 <= np.ldexp(eps, -e) ** 2  # eps >= 0, so this covers r2 == 0

@@ -2,19 +2,19 @@
 
 Neighbor lists are exact: identical to brute-force all-pairs ranking under
 the tie rule "nondecreasing distance, equal distances by ascending object
-index".  Byte-identical rows are collapsed into distinct points first, and
-the KD-tree holds only those.  Each candidate point a row queries expands
-into at most k+1 of its lowest-index copies, all a k-list can use.  Every
-stored distance is recomputed with one canonical formula so results never
-depend on tree internals.  Candidates are ranked as whole arrays in row
-blocks that bound memory; rows whose k-th distance ties the candidate
-horizon query again, as blocks, with twice the candidates.  No row is
-re-ranked on its own, so duplicated rows cost linear time.  A pass of
-several blocks ranks them on one thread per CPU in the process's affinity
-mask, the calling thread among them, sharing the memory budget of one block
-between them.  Each row's list depends only on that row and each block
-writes only its own rows, so the output cannot depend on block size or
-scheduling.
+index".  Byte-identical rows are collapsed into distinct points, the only
+ones in the KD-tree.  Each candidate point a row queries expands into at
+most k+1 of its lowest-index copies, all a k-list can use.  Ranking sees
+the points times 2^-e, with the largest |coordinate| in [0.5, 1), so no
+square overflows; every distance is recomputed there by one canonical
+formula, not by the tree, and scaled back by 2^e.  Candidates are ranked as
+whole arrays in row blocks that bound memory; rows whose k-th distance ties
+the candidate horizon query again, as blocks, with twice the candidates.
+No row is re-ranked on its own, so duplicated rows cost linear time.  A
+pass of several blocks ranks them on one thread per CPU in the process's
+affinity mask, the calling thread among them, sharing one block's memory
+budget.  Each row's list depends only on that row and each block writes
+only its own rows, so the output cannot depend on block size or scheduling.
 
 Under that total order a k-list is a prefix of every longer list.  The
 graph built on a Dataset is therefore kept on that instance and serves
@@ -32,8 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import Dataset
-from .errors import DataError, _integer
+from .dataset import Dataset, _unit_scale
+from .errors import _integer
 
 __all__ = ["KnnGraph", "build"]
 
@@ -135,7 +135,7 @@ def build(ds: Dataset, k: int) -> KnnGraph:
         keys, return_index=True, return_inverse=True, return_counts=True
     )
     by_first = np.argsort(first)
-    distinct, copies = pts[first[by_first]], copies[by_first]
+    (distinct, e), copies = _unit_scale(pts[first[by_first]]), copies[by_first]
     # members[start[p] : start[p] + copies[p]] are point p's rows, ascending.
     members = np.argsort(np.argsort(by_first)[group], kind="stable")
     start = np.cumsum(copies) - copies
@@ -145,10 +145,9 @@ def build(ds: Dataset, k: int) -> KnnGraph:
 
     def rank(rows: np.ndarray, kq: int) -> np.ndarray:
         """Write the lists of rows from kq candidates; return rows to widen."""
-        cand = tree.query(pts[rows], k=kq)[1].reshape(len(rows), kq)
-        if cand.max() == m:  # the tree's "no neighbor": a squared distance overflowed
-            raise DataError("squared distances overflow float64; rescale the data")
-        dp = _distances(pts[rows, None], distinct[cand])
+        at = np.ldexp(pts[rows], -e)  # the rows at the scale of distinct
+        cand = tree.query(at, k=kq)[1].reshape(len(rows), kq)
+        dp = _distances(at[:, None], distinct[cand])
         # A list uses <= k+1 copies of a point; absent copies sort as inf.
         nth = np.arange(min(k + 1, int(copies[cand].max())))
         idx = members.take(start[cand][..., None] + nth, mode="clip")
@@ -184,6 +183,7 @@ def build(ds: Dataset, k: int) -> KnnGraph:
                 helper.result()
         todo, kq = np.concatenate(flagged), min(m, 2 * kq)
 
+    np.ldexp(neighbor_dist, e, out=neighbor_dist)
     neighbor_idx.setflags(write=False)
     neighbor_dist.setflags(write=False)
     graph = KnnGraph(neighbor_idx, neighbor_dist)

@@ -73,8 +73,8 @@ class RunConfig:
         object.__setattr__(self, "k", None if self.k is None else _integer("k", self.k, 1))
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
         object.__setattr__(self, "T", _real("T", self.T))
-        if not (math.isfinite(self.T) and self.T > 0):
-            raise ConfigError(f"T must be positive and finite, got {self.T}")
+        if not (math.isfinite(self.T * self.T) and self.T > 0):  # displacement squares T
+            raise ConfigError(f"T must be positive with a finite square, got {self.T}")
         if self.threshold is not None:
             object.__setattr__(self, "threshold", _real("threshold", self.threshold))
             if math.isnan(self.threshold):

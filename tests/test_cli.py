@@ -191,7 +191,7 @@ def test_bad_flag_value_exits_two(tmp_path):
 
 
 def test_bad_explosion_setting_exits_two_before_reading_input():
-    for flag, value in (("--T", "0"), ("--T", "nan"), ("--T", "inf"),
+    for flag, value in (("--T", "0"), ("--T", "nan"), ("--T", "inf"), ("--T", "1e300"),
                         ("--k", "0"), ("--threshold", "nan"), ("--seed", "-1")):
         assert main(["transform", "--input", "/no/such.csv", flag, value]) == 2
 
@@ -279,15 +279,20 @@ def test_fractional_label_column_is_data_error(tmp_path, capsys):
     assert err.startswith("data error:") and "Traceback" not in err
 
 
-def test_overflowing_unnormalized_data_exits_three_without_traceback(tmp_path, capsys):
-    # squared distances near 1e400 overflow float64; normalizing would have rescued them
-    data, out = tmp_path / "huge.csv", tmp_path / "moved.csv"
+@pytest.mark.parametrize("e", [-1000, -560, 660, 1000])
+def test_unnormalized_data_at_any_power_of_two_scale_gives_the_same_blocks(tmp_path, e):
+    # squared distances near 1e-340 underflow and near 1e400 overflow float64;
+    # the k-NN build ranks at a power-of-two scale where neither happens
     points = gen_clusters_outliers(3, 300, 50, 3, 20.0, 0)[0].points
-    np.savetxt(data, points * 1e200, delimiter=",")
-    assert main(["transform", "--input", str(data), "--no-normalize", "--out-data", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("data error:") and "Traceback" not in err
-    assert not out.exists()
+    partitions = []
+    for name, pts in (("raw", points), ("scaled", np.ldexp(points, e))):
+        data, blocks = tmp_path / f"{name}.csv", tmp_path / f"{name}-blocks.csv"
+        np.savetxt(data, pts, delimiter=",")
+        argv = ["transform", "--input", str(data), "--no-normalize", "--dump-blocks", str(blocks)]
+        assert main(argv) == 0
+        partitions.append(blocks.read_bytes())
+    assert partitions[0] == partitions[1]
+    assert len({line.split(b",")[1] for line in partitions[0].splitlines()[1:]}) == 55
 
 
 @pytest.mark.parametrize("extra", [[], ["--imbalance-level", "4"]], ids=["clusters", "imbalance"])

@@ -65,6 +65,10 @@ def _run(points, k):
 def _assert_same_run(expected, got):
     (want_pts, want_blocks), (pts, blocks) = expected, got
     assert np.linalg.norm(pts - want_pts, axis=1).max() <= 1e-8 * Dataset(want_pts).diameter()
+    _assert_same_partition(want_blocks, blocks)
+
+
+def _assert_same_partition(want_blocks, blocks):
     # one set partition iff the block-id pairs form a bijection
     pairs = set(zip(want_blocks.tolist(), blocks.tolist()))
     assert len(pairs) == len(set(want_blocks.tolist())) == len(set(blocks.tolist()))
@@ -110,6 +114,21 @@ def test_run_osd_follows_a_row_permutation_falsified_at_n190_d1():
 def test_run_osd_ignores_a_per_axis_affine_map_falsified_at_n173_d1():
     pts, k, _, scale, shift = _case(n=173, d=1, k=1, seed=1)  # a row off by 3.0e5, bound 2.9e5
     _check_affine_map(pts, k, scale, shift)
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="ROADMAP item 4: a knee inside the rounding spread of equal edges")
+def test_min_max_normalization_keeps_the_partition_of_an_even_lattice():
+    # Raw, every edge weighs exactly -0.5: one block, no knee, and a warning.
+    # Normalized, the equal edges spread over about 1e-15, and the knee at bin
+    # 197 falls inside that spread: 1140 blocks.  At spacing 0.1 the raw
+    # lattice already splits into 977.
+    pts = np.arange(2000.0)[:, None] * 0.5
+    partitions = []
+    for normalize in (False, True):
+        config = RunConfig(k=1, normalize=normalize)
+        partitions.append(run_osd(prepare(Dataset(pts), config), config)[1].assignment)
+    _assert_same_partition(*partitions)
 
 
 @st.composite

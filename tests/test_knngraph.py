@@ -8,17 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.spatial
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from osd import knngraph
 from osd.blocks import divide
 from osd.dataset import Dataset
 from osd.detectors import knn_dist_scores, lof_scores
-from osd.errors import ConfigError, DataError
+from osd.errors import ConfigError
 from osd.knngraph import KnnGraph, build
 from osd.repulsion import find_invalid_neighbors
-from osd.synth import gen_clusters_outliers
 
 from oracles import knn_oracle, knn_rows_oracle
 
@@ -135,17 +134,65 @@ def test_k_out_of_range():
         build(COLLINEAR, 4)
 
 
+@st.composite
+def scaled_sets(draw):
+    """A seeded t(2) set, one in three rounded for ties and copies, a k and an e.
+
+    Scaling by 2^e is exact for e in [-1000, 1000] wherever x * 2^e stays
+    normal; the test assumes that.
+    """
+    n, d = draw(st.integers(3, 299)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_t(2, size=(n, d))
+    if draw(st.integers(0, 2)) == 0:
+        x = np.round(x, 1)
+    return x, draw(st.integers(1, min(n - 1, 20))), draw(st.integers(-1000, 1000))
+
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_overflowing_squared_distances_are_a_data_error(monkeypatch, workers):
-    # The kd-tree leaves out candidates whose squared distance overflows to
-    # inf and returns its "no neighbor" index for them; on a pool thread too.
-    monkeypatch.setattr(knngraph, "_WORKERS", workers)
+@settings(max_examples=60, deadline=None)
+@given(scaled_sets())
+def test_build_ranks_every_power_of_two_scale_alike(workers, case):
+    # build ranks at the scale that puts the largest |coordinate| in [0.5, 1),
+    # so x and x * 2^e rank the same points, and LOF takes its floor there too.
+    x, k, e = case
+    with np.errstate(over="ignore"):
+        y = np.ldexp(x, e)
+        assume(np.array_equal(np.ldexp(y, -e), x))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(knngraph, "_WORKERS", workers)
+        mp.setattr(knngraph, "_BLOCK_ROWS", 256)  # several blocks from about 90 rows on
+        ds, scaled = Dataset(x), Dataset(y)
+        g, gs = build(ds, k), build(scaled, k)
+        np.testing.assert_array_equal(gs.neighbor_idx, g.neighbor_idx)
+        assert gs.neighbor_dist.tobytes() == np.ldexp(g.neighbor_dist, e).tobytes()
+        assert knn_dist_scores(scaled, k).tobytes() == np.ldexp(knn_dist_scores(ds, k), e).tobytes()
+        assert lof_scores(scaled, k).tobytes() == lof_scores(ds, k).tobytes()
+
+
+def test_error_on_a_pool_thread_reaches_the_caller_and_leaves_no_thread(monkeypatch):
+    real_tree, caller, failed = scipy.spatial.cKDTree, threading.get_ident(), threading.Event()
+
+    class Tree:
+        def __init__(self, data):
+            self._tree = real_tree(data)
+
+        def query(self, *args, **kwargs):
+            if threading.get_ident() != caller:
+                failed.set()
+                raise RuntimeError("query failed on a pool thread")
+            assert failed.wait(timeout=60)  # the caller ranks only once a pool thread failed
+            return self._tree.query(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", Tree)
+    monkeypatch.setattr(knngraph, "_WORKERS", 3)
     monkeypatch.setattr(knngraph, "_BLOCK_ROWS", 256)
-    pts = gen_clusters_outliers(3, 300, 50, 3, 20.0, 0)[0].points
-    assert build(Dataset(pts * 1e152), 10).neighbor_idx.max() < len(pts)
-    with pytest.raises(DataError, match="overflow"):
-        build(Dataset(pts * 1e153), 10)
+    pts = np.random.default_rng(15).normal(size=(1000, 3))  # a dozen blocks
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="pool thread"):
+        build(Dataset(pts), 10)
+    assert threading.active_count() == before
+
 
 def _rounded_grid():
     # A coarse grid gives heavy distance ties and many duplicate points.

@@ -68,7 +68,7 @@ def test_config_rejects_bad_explosion_settings_at_construction():
                 {"threshold": False}, {"normalize": "no"}, {"normalize": 1},
                 {"detectors": 5}, {"detectors": None}, {"seed": None}, {"T": None},
                 {"T": 10**400}, {"threshold": 10**400}, {"threshold": -(10**400)},
-                {"k": 5.0}):
+                {"k": 5.0}, {"T": 1e300}):  # displacement squares T
         with pytest.raises(ConfigError):
             RunConfig(**bad)
     for edge in (-np.inf, np.inf):  # keep every edge / prune every edge
