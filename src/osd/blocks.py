@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import _unit_scale
 from .errors import DataError
 from .knngraph import KnnGraph
 
@@ -47,8 +48,9 @@ def weight_histogram(weights: np.ndarray, n_objects: int) -> tuple[np.ndarray, n
     Returns (probs, bin_edges) in np.histogram's order.  probs[g] is the
     number of edge weights in bin g divided by the number of OBJECTS, not
     edges, so the values need not sum to 1; only the curve's shape matters
-    downstream.  Bins are (max - min) * 10 / N wide, ceil(N / 10) of them at
-    every N; intermediate bins are half-open [a, b), the last one closed.
+    downstream.  Bins are (max - min) * 10 / N wide (the edges are taken at
+    2^-e scale, so none overflows), ceil(N / 10) of them at every N;
+    intermediate bins are half-open [a, b), the last one closed.
     Below 21 objects that is fewer than 3 bins, so find_inflection prunes
     nothing.  An all-equal weight set gets a synthetic 2-bin range with
     every edge in the bin whose left edge is that weight.
@@ -59,9 +61,9 @@ def weight_histogram(weights: np.ndarray, n_objects: int) -> tuple[np.ndarray, n
     if wmax == wmin:
         edges = np.array([wmin - 0.5, wmin, wmin + 0.5])
     else:
-        width = (wmax - wmin) * 10.0 / n_objects
+        (lo, hi), e = _unit_scale(np.array([wmin, wmax]))
         nbins = math.ceil(n_objects / 10)
-        edges = wmin + width * np.arange(nbins + 1)
+        edges = np.ldexp(lo + (hi - lo) * 10.0 / n_objects * np.arange(nbins + 1), e)
         edges[-1] = max(edges[-1], wmax)  # float guard: cover max exactly
 
     counts, _ = np.histogram(weights, bins=edges)

@@ -154,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, OverflowError) as exc:  # a forest cut over a span past the floats
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

@@ -48,20 +48,23 @@ def _epsilon(ds: Dataset) -> float:
 
 
 def centroids(ds: Dataset, partition: BlockPartition) -> np.ndarray:
-    """(B, d) block centroids, members summed in ascending index order."""
+    """(B, d) block centroids, members summed in ascending index order at 2^-e scale."""
+    pts, e = _unit_scale(ds.points)
     sums = np.zeros((partition.n_blocks, ds.dim))
-    np.add.at(sums, partition.assignment, ds.points)
-    return sums / partition.masses[:, None]
+    np.add.at(sums, partition.assignment, pts)
+    return np.ldexp(sums / partition.masses[:, None], e)
 
 
 def bomb_position(positions: np.ndarray) -> np.ndarray:
     """Unweighted mean of (B, d) particle positions (masses play no role here)."""
-    return positions.mean(axis=0)
+    scaled, e = _unit_scale(positions)
+    return np.ldexp(scaled.mean(axis=0), e)
 
 
 def constant_g(g: KnnGraph) -> float:
     """Force-scale constant: mean k-th-nearest-neighbor distance."""
-    return float(g.neighbor_dist[:, -1].mean())
+    kth, e = _unit_scale(g.neighbor_dist[:, -1])
+    return float(np.ldexp(kth.mean(), e))
 
 
 def shock_force(

@@ -21,14 +21,13 @@ graph built on a Dataset is therefore kept on that instance and serves
 every later request for the same or a smaller k on it.  Sharing is per
 instance, never by content: an equal Dataset built separately gets its own
 graph.  The undirected edges, weighted by negative distance, are derived
-from the lists on first read, so graphs nobody reads edges of never pay.
+from the lists on each read and never kept: a graph holds its two lists.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -60,7 +59,7 @@ class KnnGraph:
     ties by ascending index); neighbor_dist matches elementwise.  edges is
     the deduplicated union over all directed (i -> neighbor) pairs, stored
     once with i < j; edge_weights[e] = -distance(i, j) <= 0.  Both are
-    derived from the lists on first read and kept; every array is read-only.
+    derived on each read and never kept; the two lists are read-only.
     """
 
     neighbor_idx: np.ndarray
@@ -76,28 +75,22 @@ class KnnGraph:
 
     @property
     def n_edges(self) -> int:
-        return self.edges.shape[0]
+        return len(self._codes()[0])
 
     @property
     def edges(self) -> np.ndarray:
-        return self._undirected[0]
+        return np.stack(np.divmod(self._codes()[0], self.n_objects), axis=1)
 
     @property
     def edge_weights(self) -> np.ndarray:
-        return self._undirected[1]
+        # (a-b)^2 == (b-a)^2 exactly, so the directed distance is the edge's.
+        return -self.neighbor_dist.ravel()[self._codes()[1]] + 0.0
 
-    @cached_property
-    def _undirected(self) -> tuple[np.ndarray, np.ndarray]:
+    def _codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each edge's code min*n + max, ascending, and its first directed pair's flat index."""
         n = self.n_objects
         src, dst = np.arange(n)[:, None], self.neighbor_idx
-        codes = np.minimum(src, dst) * n + np.maximum(src, dst)
-        codes, first = np.unique(codes, return_index=True)  # flattened row-major
-        edges = np.stack(np.divmod(codes, n), axis=1)
-        # (a-b)^2 == (b-a)^2 exactly, so the directed distance is the edge's.
-        weights = -self.neighbor_dist.ravel()[first] + 0.0
-        edges.setflags(write=False)
-        weights.setflags(write=False)
-        return edges, weights
+        return np.unique(np.minimum(src, dst) * n + np.maximum(src, dst), return_index=True)
 
 
 def _distances(point: np.ndarray, others: np.ndarray) -> np.ndarray:

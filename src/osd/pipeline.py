@@ -150,13 +150,14 @@ def run_osd(
     timings["knngraph"] = clock() - t0
 
     t0 = clock()
+    weights = graph.edge_weights  # derived on each read: read once
     threshold, knee_bin = config.threshold, None
     if threshold is None:
-        threshold, knee_bin = find_inflection(
-            *weight_histogram(graph.edge_weights, graph.n_objects))
+        threshold, knee_bin = find_inflection(*weight_histogram(weights, graph.n_objects))
         if knee_bin is None:
             warnings.append("histogram too coarse for knee detection; nothing pruned")
-    partition = divide(graph, threshold)
+    partition, n_edges = divide(graph, threshold), len(weights)
+    del weights  # not kept through the explosion and the moved-graph rebuild
     timings["division"] = clock() - t0
 
     t0 = clock()
@@ -182,7 +183,7 @@ def run_osd(
     report = RunReport(
         config,
         k=k,
-        n_edges=graph.n_edges,
+        n_edges=n_edges,
         threshold=threshold,
         knee_bin=knee_bin,
         n_blocks=partition.n_blocks,

@@ -28,6 +28,16 @@ def test_histogram_degenerate_all_equal():
     assert bin_edges[1] == -2.0  # the shared weight sits in the closed bin
 
 
+@pytest.mark.parametrize("e", [-1000, 1000, 1023])
+def test_histogram_at_any_power_of_two_scale_is_the_scaled_histogram(e):
+    # at 2^1023 these weights span 1.3e308, so ten times the span is past the float range
+    w = -np.random.default_rng(5).uniform(0.0, 1.5, size=200)
+    probs, bin_edges = weight_histogram(w, 21)
+    scaled_probs, scaled_edges = weight_histogram(np.ldexp(w, e), 21)
+    assert scaled_probs.tobytes() == probs.tobytes()
+    assert scaled_edges.tobytes() == np.ldexp(bin_edges, e).tobytes()
+
+
 def test_histogram_counts_match_recount_oracle():
     rng = np.random.default_rng(0)
     ds = Dataset(rng.normal(size=(80, 3)))

@@ -279,7 +279,7 @@ def test_fractional_label_column_is_data_error(tmp_path, capsys):
     assert err.startswith("data error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("e", [-1000, -560, 660, 1000])
+@pytest.mark.parametrize("e", [-1000, -560, 660, 1000, 1014, 1016])
 def test_unnormalized_data_at_any_power_of_two_scale_gives_the_same_blocks(tmp_path, e):
     # squared distances near 1e-340 underflow and near 1e400 overflow float64;
     # the k-NN build ranks at a power-of-two scale where neither happens
@@ -293,6 +293,20 @@ def test_unnormalized_data_at_any_power_of_two_scale_gives_the_same_blocks(tmp_p
         partitions.append(blocks.read_bytes())
     assert partitions[0] == partitions[1]
     assert len({line.split(b",")[1] for line in partitions[0].splitlines()[1:]}) == 55
+
+
+def test_forest_over_a_span_past_the_float_range_exits_three_without_traceback(tmp_path, capsys):
+    # the isolation forest cannot draw a cut over a range wider than the largest float
+    pts = np.vstack([np.random.default_rng(0).normal(size=(298, 2)), [[-1.5e308, 0], [1.5e308, 0]]])
+    data = tmp_path / "wide.csv"
+    np.savetxt(data, np.column_stack([pts, np.r_[np.zeros(298), 1, 1]]), delimiter=",",
+               header="x0,x1,label", comments="")
+    argv = ["eval", "--input", str(data), "--label-col", "label", "--no-normalize",
+            "--detector", "iforest"]
+    with pytest.warns(RuntimeWarning, match="overflow"):  # the diameter's span overflows first
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("extra", [[], ["--imbalance-level", "4"]], ids=["clusters", "imbalance"])

@@ -396,7 +396,7 @@ def test_edges_are_derived_only_where_read(monkeypatch):
     def refuse(self):
         raise AssertionError("undirected edges derived")
 
-    monkeypatch.setattr(KnnGraph, "_undirected", property(refuse))
+    monkeypatch.setattr(KnnGraph, "_codes", refuse)
     prefix = build(ds, 3)
     divide(prefix, -0.5)
     find_invalid_neighbors(g, Dataset(ds.points * 2.0), part)
@@ -404,6 +404,14 @@ def test_edges_are_derived_only_where_read(monkeypatch):
     knn_dist_scores(ds, 3)
     with pytest.raises(AssertionError, match="derived"):
         prefix.edges
+
+
+def test_graph_keeps_only_its_two_lists_after_every_read():
+    # edges and weights are derived per read, so nothing outlives the read
+    g = build(Dataset(np.random.default_rng(11).normal(size=(40, 2))), 4)
+    assert (g.n_edges, len(g.edges)) == (len(g.edge_weights),) * 2
+    assert list(vars(g)) == ["neighbor_idx", "neighbor_dist"]
+    assert not (g.neighbor_idx.flags.writeable or g.neighbor_dist.flags.writeable)
 
 
 def test_workers_fall_back_to_cpu_count_without_affinity_masks():

@@ -103,6 +103,17 @@ def test_default_run_of_twenty_objects_warns_and_prunes_nothing():
     np.testing.assert_array_equal(partition.assignment, expected.assignment)
 
 
+@pytest.mark.parametrize("threshold", [None, -0.1])
+def test_run_deduplicates_the_edges_once(monkeypatch, threshold):
+    # the knee and the report's edge count share one derivation of the weights
+    calls, codes = [], knngraph.KnnGraph._codes
+    monkeypatch.setattr(knngraph.KnnGraph, "_codes", lambda g: calls.append(g) or codes(g))
+    ds = prepare(gen_clusters_outliers(2, 60, 6, 2, 20.0, 3)[0], RunConfig())
+    report = run_osd(ds, RunConfig(threshold=threshold))[2]
+    assert len(calls) == 1
+    assert report.n_edges == build(ds, report.k).n_edges
+
+
 def test_direction_mode_has_no_effect_under_literal_signs(monkeypatch):
     # literal displacement squares each component of a block's resultant,
     # so negating every repulsive force moves no point differently; that is
