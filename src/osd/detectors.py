@@ -34,10 +34,9 @@ def lof_scores(ds: Dataset, n_neighbors: int = 20) -> np.ndarray:
     dist = g.neighbor_dist
     kdist = dist[:, -1]
 
-    reach = np.maximum(kdist[idx], dist)
-    # LOF is scale-free; at this scale the floor cannot round as a subnormal
-    mean_reach, e = _unit_scale(reach.mean(axis=1))
-    mean_reach = np.maximum(mean_reach, 1e-12 * np.ldexp(ds.diameter() or 1.0, -e))
+    # LOF is scale-free; at this scale no row sum overflows and the floor is not subnormal
+    reach, e = _unit_scale(np.maximum(kdist[idx], dist))
+    mean_reach = np.maximum(reach.mean(axis=1), 1e-12 * np.ldexp(ds.diameter() or 1.0, -e))
     # lrd(b)/lrd(a) == mean_reach(a)/mean_reach(b)
     return (mean_reach[:, None] / mean_reach[idx]).mean(axis=1)
 

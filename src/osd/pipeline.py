@@ -17,6 +17,7 @@ only consumed by evaluate().
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import time
@@ -207,9 +208,11 @@ def evaluate(
 
     Returns a copy of ``report`` (the one run_osd produced under this same
     ``config``, or an empty one for it) with the detector results and
-    per-detector timings added; ``report`` itself is left as it was.  Each
-    timing is that detector's own wall time, and they may overlap: above one
-    k-NN block per worker, the iForest grows on its own thread beside LOF and kNN.
+    per-detector timings added; ``report`` itself is left as it was.  LOF and
+    kNN run in names order on the calling thread and the iForest last; above
+    one k-NN block per worker it grows on a thread of its own beside them, so
+    the timings (each detector's own wall time) may overlap.  The first failing
+    k-NN detector's error is raised, the iForest's only if none failed.
     """
     if report is not None and report.config != config:
         raise ConfigError("report was made under another config than evaluate's")
@@ -227,25 +230,16 @@ def evaluate(
         return time.perf_counter() - t0, {"auc_before": auc_before, "ap_before": ap_before,
                                           "auc_after": auc_after, "ap_after": ap_after}
 
-    names, outcomes = config.detectors, {}
-    # kd-tree queries and the forest's large gathers release the GIL; small inputs lose by it.
-    if ("iforest" in names and len(names) > 1 and knngraph._WORKERS > 1
-            and before.count > knngraph._BLOCK_ROWS // knngraph._WORKERS):
-        from concurrent.futures import ThreadPoolExecutor  # imported on first use, as in build
-        with ThreadPoolExecutor(1) as pool:
-            forest = pool.submit(score, "iforest")
-            try:  # in names order, so kNN after LOF reads LOF's k=20 graph
-                for name in names:
-                    if name != "iforest":
-                        outcomes[name] = score(name)
-            except Exception:  # the first failure in names order is raised
-                if names.index("iforest") < names.index(name) and forest.exception():
-                    raise forest.exception() from None
-                raise
-            outcomes["iforest"] = forest.result()
-    else:
-        for name in names:
-            outcomes[name] = score(name)
+    names, outcomes, forest = config.detectors, {}, lambda: score("iforest")
+    with contextlib.ExitStack() as stack:  # on an error, waits for the forest's thread
+        # kd-tree queries and the forest's large gathers release the GIL; small inputs lose by it.
+        if ("iforest" in names and len(names) > 1 and knngraph._WORKERS > 1
+                and before.count > knngraph._BLOCK_ROWS // knngraph._WORKERS):
+            from concurrent.futures import ThreadPoolExecutor  # imported on first use, as in build
+            forest = stack.enter_context(ThreadPoolExecutor(1)).submit(score, "iforest").result
+        # LOF and kNN in names order, so kNN after LOF reads LOF's k=20 graph, then the forest
+        for name in sorted(names, key=lambda name: name == "iforest"):
+            outcomes[name] = forest() if name == "iforest" else score(name)
     base = report or RunReport(config)
     return replace(base, detector_results={name: outcomes[name][1] for name in names},
                    timings={**base.timings, **{name: outcomes[name][0] for name in names}})

@@ -309,6 +309,16 @@ def test_forest_over_a_span_past_the_float_range_exits_three_without_traceback(t
     assert err.startswith("data error:") and "Traceback" not in err
 
 
+def test_eval_unnormalized_near_the_top_of_the_float_range_exits_zero(tmp_path, capsys):
+    # LOF sums each row's reachabilities at a power-of-two scale, so none overflows
+    ds, labels = gen_clusters_outliers(2, 100, 10, 2, 20.0, 0)
+    data = tmp_path / "huge.csv"
+    np.savetxt(data, np.column_stack([np.ldexp(ds.points, 1016), labels.flags]), delimiter=",",
+               header="x0,x1,label", comments="")
+    assert main(["eval", "--input", str(data), "--label-col", "label", "--no-normalize"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("extra", [[], ["--imbalance-level", "4"]], ids=["clusters", "imbalance"])
 def test_synth_negative_seed_exits_two_and_writes_nothing(tmp_path, capsys, extra):
     out = tmp_path / "data.csv"

@@ -17,6 +17,7 @@ from osd.detectors import (
     lof_scores,
 )
 from osd.errors import ConfigError
+from osd.synth import gen_clusters_outliers
 
 from oracles import _average_path_length, iforest_oracle, knn_oracle, lof_oracle
 
@@ -66,6 +67,15 @@ def test_lof_finite_where_the_diagonal_squares_past_the_float_range():
         warnings.simplefilter("error")
         scores = lof_scores(Dataset(np.column_stack([t, 0.5 * t])))
     assert np.isfinite(scores).all()
+
+
+@pytest.mark.parametrize("e", [1016, 1018])
+def test_lof_near_the_top_of_the_float_range_equals_lof_unscaled(e):
+    # a row's 20 reachabilities would sum past the float range long before any distance does
+    ds = gen_clusters_outliers(2, 100, 10, 2, 20.0, 0)[0]
+    scaled = Dataset(np.ldexp(ds.points, e))
+    assert np.isfinite(scaled.diameter())
+    np.testing.assert_array_equal(lof_scores(scaled), lof_scores(ds))
 
 
 def test_lof_parameter_validation():

@@ -350,20 +350,42 @@ def _raising(error):
 
 @pytest.mark.parametrize("names", [("lof", "iforest", "knn"), ("iforest", "lof"), ("lof", "iforest")])
 def test_errors_beside_the_forest_thread_raise_in_detector_order(monkeypatch, names):
-    forest_error, lof_error = DataError("forest"), DataError("lof")
-    monkeypatch.setattr(knngraph, "_WORKERS", 2)
+    forest_error, lof_error, lof = DataError("forest"), DataError("lof"), detectors.lof_scores
     monkeypatch.setattr(detectors, "iforest_scores", _raising(forest_error))
     before = threading.active_count()
-    with pytest.raises(DataError) as failed:
-        evaluate(*_probe(), RunConfig(k=10, detectors=names))
-    assert failed.value is forest_error
-    assert threading.active_count() == before
-    # Both sides fail: the error of the detector named first is raised.
-    monkeypatch.setattr(detectors, "lof_scores", _raising(lof_error))
-    with pytest.raises(DataError) as failed:
-        evaluate(*_probe(), RunConfig(k=10, detectors=names))
-    assert failed.value is (forest_error if names[0] == "iforest" else lof_error)
-    assert threading.active_count() == before
+    for workers in (2, 1):  # the forest on its own thread, then on the calling thread
+        monkeypatch.setattr(knngraph, "_WORKERS", workers)
+        monkeypatch.setattr(detectors, "lof_scores", lof)
+        with pytest.raises(DataError) as failed:
+            evaluate(*_probe(), RunConfig(k=10, detectors=names))
+        assert failed.value is forest_error
+        assert threading.active_count() == before
+        # Both fail: the forest's outcome is taken last, so LOF's error is raised.
+        monkeypatch.setattr(detectors, "lof_scores", _raising(lof_error))
+        with pytest.raises(DataError) as failed:
+            evaluate(*_probe(), RunConfig(k=10, detectors=names))
+        assert failed.value is lof_error
+        assert threading.active_count() == before
+
+
+def test_serial_evaluate_scores_lof_and_knn_in_order_then_the_forest(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("thread pool started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    calls = []
+    for attr in ("lof_scores", "iforest_scores", "knn_dist_scores"):
+        def spy(*args, real=getattr(detectors, attr), attr=attr, **kwargs):
+            calls.append(attr)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(detectors, attr, spy)
+    ds, labels = gen_clusters_outliers(3, 158, 26, 3, 28.0, 0)  # a sweep dataset
+    config = RunConfig(detectors=("iforest", "lof", "knn"))
+    prepared = prepare(ds, config)
+    report = evaluate(prepared, run_osd(prepared, config)[0], labels, config)
+    assert calls == ["lof_scores"] * 2 + ["knn_dist_scores"] * 2 + ["iforest_scores"] * 2
+    assert list(report.detector_results) == list(report.timings) == list(config.detectors)
 
 
 def test_forest_thread_keeps_knn_after_lofs_graph(monkeypatch):
